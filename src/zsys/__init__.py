@@ -17,13 +17,9 @@ from .zsystem import (
     NfStats,
     WindowGroup,
     closure,
-    collect_inverse,
-    collect_multiply,
-    collect_power,
     derive_window,
     nf_stats,
     overlap_violation,
-    shift_element,
     verify_zs_axioms,
 )
 from .analysis import (

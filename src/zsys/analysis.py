@@ -7,6 +7,12 @@ Subgroups are materialized element sets (windows at desk scale are small);
 series terms are generated through normal closures of generator commutators,
 which agrees with the brute-force double-loop definition and is checked
 against it in the tests.
+
+The search and its extension certificates decide consistency with the
+complete overlap test `zsystem.overlap_violation` only (the extension runs
+the boundary overlaps level by level while it backtracks), and spread every
+representative word over its translation orbit with `_propagate`.  The
+exhaustive closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
 from __future__ import annotations
@@ -15,8 +21,13 @@ import itertools
 import random
 from collections import namedtuple
 
+from . import zsystem
 from .matgroup import commutator as mat_commutator
-from .zsystem import CapExceeded, WindowGroup, closure, verify_zs_axioms
+from .zsystem import CapExceeded, WindowGroup, closure, shift_violation
+
+# not called here since search decides consistency with overlap_violation;
+# kept as a module name because the benchmark's layer tracer patches it
+from .zsystem import verify_zs_axioms  # noqa: F401
 
 CutoffResult = namedtuple("CutoffResult", ["value", "witness"])
 
@@ -149,10 +160,6 @@ def nilpotency_class(wg: WindowGroup, cap=None) -> int:
     return len(lower_central_series(wg, cap)) - 1
 
 
-def is_abelian_table(wg: WindowGroup) -> bool:
-    return wg.is_abelian()
-
-
 def lower_cutoff(target, bound: int) -> CutoffResult:
     """Least distance |m - n| with a nontrivial commutator, scanned in
     increasing distance; None value means abelian within the bound.
@@ -185,14 +192,7 @@ def single_shift_extends(wg: WindowGroup) -> bool:
     The pair (lo, hi) at the window's maximal distance has no in-range
     partner (lo + 1, hi + 1), so its entry is never compared: on a table whose
     only noncommuting pair is (lo, hi) the predicate is vacuously true."""
-    for i in wg.indices():
-        for j in range(i + 1, wg.hi + 1):
-            if j + 1 > wg.hi:
-                continue
-            shifted = {k + 1: e for k, e in wg.comm.get((i, j), {}).items()}
-            if wg.comm.get((i + 1, j + 1), {}) != shifted:
-                return False
-    return True
+    return shift_violation(wg, 1) is None
 
 
 def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
@@ -360,10 +360,6 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
     return table
 
 
-def _orbit_key(i: int, j: int, lo: int) -> tuple:
-    return (j - i, (i - lo) % 2)
-
-
 def search_tables(
     p: int,
     lo: int,
@@ -389,8 +385,7 @@ def search_tables(
     for assignment in itertools.product(*choice_lists):
         rep_words = dict(zip(reps, assignment))
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
-        report = verify_zs_axioms(wg, cap)
-        if not report["pass"]:
+        if zsystem.overlap_violation(wg) is not None:
             continue
         cls = nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth)
@@ -408,44 +403,6 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1) -> bool:
     return False
 
 
-def _boundary_checks(lo2: int, hi2: int) -> list:
-    """Overlap checks of the widened window that involve a boundary index;
-    interior ones already hold because the base table is consistent.  Each
-    check carries the set of orbit keys its collection may touch (all pairs
-    inside its index interval)."""
-
-    def span(a, b):
-        return {
-            _orbit_key(x, y, lo2) for x in range(a, b + 1) for y in range(x + 1, b + 1)
-        }
-
-    checks = []
-    for i in range(lo2, hi2 + 1):
-        for j in range(i + 1, hi2 + 1):
-            if i == lo2 or j == hi2:
-                checks.append(("power", (j, i), span(i, j)))
-            for k in range(j + 1, hi2 + 1):
-                if i == lo2 or k == hi2:
-                    checks.append(("triple", (k, j, i), span(i, k)))
-    return checks
-
-
-def _run_check(wg: WindowGroup, check) -> bool:
-    kind, idxs = check[0], check[1]
-    p = wg.p
-    if kind == "power":
-        j, i = idxs
-        gi, gj = wg.gen_vec(i), wg.gen_vec(j)
-        ji = wg.mul_vec(gj, gi)
-        return (
-            wg.mul_vec(wg.pow_vec(gj, p - 1), ji) == gi
-            and wg.mul_vec(ji, wg.pow_vec(gi, p - 1)) == gj
-        )
-    k, j, i = idxs
-    gk, gj, gi = wg.gen_vec(k), wg.gen_vec(j), wg.gen_vec(i)
-    return wg.mul_vec(wg.mul_vec(gk, gj), gi) == wg.mul_vec(gk, wg.mul_vec(gj, gi))
-
-
 def _consistent_extensions(wg: WindowGroup, support_bound: int):
     """Yield consistent shift-invariant widenings of the table to
     [lo-1, hi+1], via backtracking over the newly free orbit representatives
@@ -453,65 +410,46 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int):
     lo, hi = wg.lo, wg.hi
     lo2, hi2 = lo - 1, hi + 1
 
-    forced_orbits = {}
-    for i0, j0 in _free_reps(lo, hi):
-        forced_orbits[_orbit_key(i0, j0, lo2)] = (i0, wg.comm.get((i0, j0), {}))
-    # distance-1 pairs are forced empty
-    forced_orbits[(1, 0)] = (lo2, {})
-    forced_orbits[(1, 1)] = (lo2 + 1, {})
-
-    new_reps = [
-        (i0, j0)
-        for i0, j0 in _free_reps(lo2, hi2)
-        if _orbit_key(i0, j0, lo2) not in forced_orbits
-    ]
+    # re-anchor every orbit that already meets the window on its widened
+    # representative; the orbits that do not are free
+    rep_words = {}
+    new_reps = []
+    for i0, j0 in _free_reps(lo2, hi2):
+        shift = 2 if i0 < lo else 0
+        if j0 + shift <= hi:
+            word = wg.comm.get((i0 + shift, j0 + shift), {})
+            rep_words[(i0, j0)] = {k - shift: e for k, e in word.items()}
+        else:
+            new_reps.append((i0, j0))
     choice_lists = [_word_choices(wg.p, i, j, support_bound) for i, j in new_reps]
 
-    all_checks = _boundary_checks(lo2, hi2)
-    keys_available = set(forced_orbits)
+    def touches(rep, a, b):
+        """Whether some translate of the representative lies inside [a, b]."""
+        i0, j0 = rep
+        return any(a <= i0 + s and j0 + s <= b for s in range(0, hi2 - j0 + 1, 2))
+
+    # overlaps with a boundary index (interior ones hold because the base
+    # table is consistent), each run at the first level where every word it
+    # may collect through is fixed
     levels = [[] for _ in range(len(new_reps) + 1)]
-    for check in all_checks:
-        needed = check[2] - keys_available
-        if not needed:
-            levels[0].append(check)
-            continue
-        last = max(
-            idx for idx, rep in enumerate(new_reps) if _orbit_key(*rep, lo2) in needed
-        )
-        levels[last + 1].append(check)
-
-    def build(words_by_orbit) -> WindowGroup:
-        table = {}
-        for key, (anchor_i, word) in words_by_orbit.items():
-            d = key[0]
-            if not word:
-                continue
-            i0 = anchor_i
-            while i0 - 2 >= lo2:
-                i0 -= 2
-            for i in range(i0, hi2 + 1, 2):
-                j = i + d
-                if j > hi2:
-                    break
-                if i < lo2:
-                    continue
-                table[(i, j)] = {k + (i - anchor_i): e for k, e in word.items()}
-        return WindowGroup(wg.p, lo2, hi2, table)
-
-    assigned = dict(forced_orbits)
+    for check in zsystem.overlap_checks(lo2, hi2):
+        if check[-1] == lo2 or check[0] == hi2:
+            last = max(
+                (idx for idx, rep in enumerate(new_reps) if touches(rep, check[-1], check[0])),
+                default=-1,
+            )
+            levels[last + 1].append(check)
 
     def rec(idx: int):
-        candidate = build(assigned)
-        if not all(_run_check(candidate, c) for c in levels[idx]):
+        candidate = WindowGroup(wg.p, lo2, hi2, _propagate(lo2, hi2, rep_words))
+        if zsystem.overlap_violation(candidate, levels[idx]) is not None:
             return
         if idx == len(new_reps):
             yield candidate
             return
-        i0, j0 = new_reps[idx]
-        key = _orbit_key(i0, j0, lo2)
         for word in choice_lists[idx]:
-            assigned[key] = (i0, word)
+            rep_words[new_reps[idx]] = word
             yield from rec(idx + 1)
-        del assigned[key]
+        del rep_words[new_reps[idx]]
 
     yield from rec(0)

@@ -24,13 +24,17 @@ from .zsystem import CapExceeded, WindowGroup, derive_window
 CAP_ENV = "ZSYS_CLOSURE_CAP"
 
 
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return zsystem.DEFAULT_CAP
-    cap = int(raw)
+def _closure_cap(args) -> int:
+    """The --cap value, else ZSYS_CLOSURE_CAP, else the default; a cap that is
+    not positive is a usage error."""
+    cap, source = getattr(args, "cap", None), "--cap"
+    if cap is None:
+        raw = os.environ.get(CAP_ENV)
+        if raw is None:
+            return zsystem.DEFAULT_CAP
+        cap, source = int(raw), CAP_ENV
     if cap <= 0:
-        raise ValueError(f"{CAP_ENV} must be positive, got {cap}")
+        raise ValueError(f"{source} must be positive, got {cap}")
     return cap
 
 
@@ -137,7 +141,7 @@ def main(argv=None) -> int:
     pretty = args.output == "pretty"
 
     try:
-        cap = args.cap if getattr(args, "cap", None) is not None else _default_cap()
+        cap = _closure_cap(args)
 
         if args.command == "derive":
             wg = _load_window(args)
@@ -158,6 +162,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "lemmas":
+            if args.trials < 1:
+                raise ValueError(f"--trials must be at least 1, got {args.trials}")
             wg = _load_window(args)
             t0 = time.perf_counter()
             report = analysis.lemma_checks(wg, cap, trials=args.trials, seed=args.seed)
@@ -218,6 +224,8 @@ def main(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         if args.command == "search":
+            if args.depth < 1:
+                raise ValueError(f"--depth must be at least 1, got {args.depth}")
             lo, hi = args.window
             for item in analysis.search_tables(
                 args.p, lo, hi, args.support_bound, cap, args.depth

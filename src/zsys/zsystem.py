@@ -343,22 +343,6 @@ def nf_stats(a: GroupElement) -> NfStats:
     return a.stats()
 
 
-def collect_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def collect_inverse(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def collect_power(a: GroupElement, k: int) -> GroupElement:
-    return a**k
-
-
-def shift_element(a: GroupElement, k: int) -> GroupElement:
-    return a.shift(k)
-
-
 # -- deriving windows from the matrix oracles -------------------------------
 
 
@@ -406,29 +390,59 @@ def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     return seen
 
 
-def overlap_violation(wg: WindowGroup):
+def overlap_checks(lo: int, hi: int):
+    """Every overlap of two relations on [lo, hi], as descending index tuples:
+    (j, i) for x_j x_i against the power relations, (k, j, i) for x_k x_j x_i.
+    This is the order in which overlap_violation runs them by default."""
+    for i in range(lo, hi + 1):
+        for j in range(i + 1, hi + 1):
+            yield (j, i)
+            for k in range(j + 1, hi + 1):
+                yield (k, j, i)
+
+
+def overlap_violation(wg: WindowGroup, checks=None):
     """Complete consistency test for the presentation: collect both sides of
-    every overlap of two relations.  Returns None when consistent, else a
-    witness.  Passing implies the collected normal forms are unique, hence the
-    group order is exactly p^width."""
+    every overlap of two relations (or of the given overlap_checks tuples
+    only).  Returns None when consistent, else a witness for the first failing
+    check.  Passing every check implies the collected normal forms are unique,
+    hence the group order is exactly p^width."""
     gens = {i: wg.gen_vec(i) for i in wg.indices()}
     p = wg.p
-    for i in wg.indices():
-        for j in range(i + 1, wg.hi + 1):
-            gi, gj = gens[i], gens[j]
-            ji = wg.mul_vec(gj, gi)
+    if checks is None:
+        checks = overlap_checks(wg.lo, wg.hi)
+    products = {}
+    for check in checks:
+        j, i = check[-2:]
+        gi, gj = gens[i], gens[j]
+        ji = products.get((j, i))
+        if ji is None:
+            ji = products[(j, i)] = wg.mul_vec(gj, gi)
+        if len(check) == 2:
             left = wg.mul_vec(wg.pow_vec(gj, p - 1), ji)
             if left != gi:
                 return {"kind": "power_left", "indices": [j, i], "left": left, "right": gi}
             right = wg.mul_vec(ji, wg.pow_vec(gi, p - 1))
             if right != gj:
                 return {"kind": "power_right", "indices": [j, i], "left": right, "right": gj}
-            for k in range(j + 1, wg.hi + 1):
-                gk = gens[k]
-                left = wg.mul_vec(wg.mul_vec(gk, gj), gi)
-                right = wg.mul_vec(gk, ji)
-                if left != right:
-                    return {"kind": "triple", "indices": [k, j, i], "left": left, "right": right}
+            continue
+        gk = gens[check[0]]
+        left = wg.mul_vec(wg.mul_vec(gk, gj), gi)
+        right = wg.mul_vec(gk, ji)
+        if left != right:
+            return {"kind": "triple", "indices": list(check), "left": left, "right": right}
+    return None
+
+
+def shift_violation(wg: WindowGroup, step: int):
+    """First pair (i, j) whose word, translated by step, differs from the word
+    of (i + step, j + step), over the pairs where both are in the window; None
+    if the table is invariant under that translation."""
+    for i in wg.indices():
+        for j in range(i + 1, wg.hi + 1 - step):
+            shifted = {k + step: e for k, e in wg.comm.get((i, j), {}).items()}
+            if wg.comm.get((i + step, j + step), {}) != shifted:
+                return {"pair": [i, j], "shifted_pair": [i + step, j + step]}
     return None
 
 
@@ -443,17 +457,7 @@ def verify_zs_axioms(wg: WindowGroup, cap: int | None = None) -> dict:
     if zs5_witness is not None:
         checks["ZS5"]["witness"] = zs5_witness
 
-    shift_witness = None
-    for i in wg.indices():
-        for j in range(i + 1, wg.hi + 1):
-            if j + 2 > wg.hi:
-                continue
-            shifted = {k + 2: e for k, e in wg.comm.get((i, j), {}).items()}
-            if wg.comm.get((i + 2, j + 2), {}) != shifted:
-                shift_witness = {"pair": [i, j], "shifted_pair": [i + 2, j + 2]}
-                break
-        if shift_witness:
-            break
+    shift_witness = shift_violation(wg, 2)
     checks["ZS3"] = {"pass": shift_witness is None}
     if shift_witness is not None:
         checks["ZS3"]["witness"] = shift_witness

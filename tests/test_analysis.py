@@ -1,9 +1,14 @@
 
+import itertools
+
 import pytest
 
 from zsys.analysis import (
     CapExceeded,
     _consistent_extensions,
+    _free_reps,
+    _propagate,
+    _word_choices,
     commutator_subgroup,
     derived_series,
     derived_subgroup,
@@ -20,7 +25,7 @@ from zsys.analysis import (
     whole_group,
 )
 from zsys.matgroup import make_example
-from zsys.zsystem import WindowGroup, derive_window
+from zsys.zsystem import WindowGroup, derive_window, overlap_violation, verify_zs_axioms
 
 
 def unitary(p, lo, hi):
@@ -376,3 +381,45 @@ def test_consistent_extensions_contain_derived_widening():
     wg = unitary(3, 0, 4)
     wider = unitary(3, -1, 5)
     assert any(ext == wider for ext in _consistent_extensions(wg, 1))
+
+
+def shift_invariant_windows(p, lo, hi, support_bound):
+    """Every shift-invariant interior table on [lo, hi], in search order."""
+    reps = _free_reps(lo, hi)
+    choice_lists = [_word_choices(p, i, j, support_bound) for i, j in reps]
+    for assignment in itertools.product(*choice_lists):
+        yield WindowGroup(p, lo, hi, _propagate(lo, hi, dict(zip(reps, assignment))))
+
+
+def test_overlap_decision_matches_exhaustive_oracle():
+    # the search keeps a candidate iff overlap_violation finds nothing; the
+    # exhaustive closure of verify_zs_axioms must agree on every candidate,
+    # rejected ones included
+    decisions = []
+    for p, hi in ((2, 4), (3, 3)):
+        for wg in shift_invariant_windows(p, 0, hi, 1):
+            report = verify_zs_axioms(wg)
+            consistent = overlap_violation(wg) is None
+            assert consistent == report["pass"], wg.comm
+            if report["pass"]:
+                assert report["checks"]["ZS2/ZS6"]["method"] == "exhaustive"
+            decisions.append(consistent)
+    assert len(decisions) == 144 + 45
+    assert any(decisions) and not all(decisions)
+
+
+@pytest.mark.parametrize("p, hi", [(2, 2), (2, 3), (3, 2)])
+def test_consistent_extensions_match_brute_force(p, hi):
+    # the levelled boundary checks against a full overlap test of every
+    # shift-invariant widening whose restriction to [0, hi] is the table
+    tables = [WindowGroup.from_json_dict(item["table"]) for item in search_tables(p, 0, hi, 1)]
+    assert tables
+    widenings = {}
+    for wider in shift_invariant_windows(p, -1, hi + 1, 1):
+        inner = {(i, j): w for (i, j), w in wider.comm.items() if 0 <= i and j <= hi}
+        widenings.setdefault(WindowGroup(p, 0, hi, inner), []).append(wider)
+    for wg in tables:
+        expected = {w for w in widenings.get(wg, []) if overlap_violation(w) is None}
+        found = list(_consistent_extensions(wg, 1))
+        assert len(found) == len(set(found))
+        assert set(found) == expected, wg.comm

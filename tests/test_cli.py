@@ -155,6 +155,22 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "nf", "--example", "standard", "--p", "3", "--window", "0", "2", "--word", "xx")
     assert code == 2
+    # certificates and budgets that would check nothing are refused up front
+    source = ["--example", "unitary", "--p", "3", "--window", "0", "2"]
+    search = ["search", "--p", "2", "--window", "0", "3"]
+    bad = [search + ["--depth", "0"], search + ["--depth", "-1"]]
+    bad += [["lemmas", *source, "--trials", t] for t in ("0", "-3")]
+    for cap in ("0", "-1"):
+        bad.append(search + ["--cap", cap])
+        bad.append(["cutoff", "--example", "unitary", "--p", "3", "--bound", "2", "--cap", cap])
+        bad += [[cmd, *source, "--cap", cap] for cmd in ("derive", "axioms", "class", "lemmas")]
+        bad.append(["nf", *source, "--word", "0:1", "--cap", cap])
+        bad.append(["comm", *source, "--left", "0:1", "--right", "2:1", "--cap", cap])
+        bad.append(["shiftinv", *source, "--a", "0:1", "--b", "1:1", "--cap", cap])
+    for argv in bad:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_malformed_table_exit_2(tmp_path, capsys):
