@@ -12,7 +12,10 @@ The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
 the boundary overlaps level by level while it backtracks), and spread every
 representative word over its translation orbit with `_propagate`.  The
-exhaustive closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
+candidate loop of the search owns one overlap memo and each call of
+`_consistent_extensions` owns another, so a check that recurs in translate
+across candidates or backtracking nodes is collected once.  The exhaustive
+closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
 from __future__ import annotations
@@ -226,7 +229,10 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     every noncommuting pair lies at the maximal distance hi - lo (the lower
     cutoff is hi - lo).  There the unit-shift predicate is vacuously true and
     the window cannot decide the criterion; such an entry carries
-    "vacuous_at_boundary": true."""
+    "vacuous_at_boundary": true.  Fewer than one bilinearity trial would
+    check nothing and is refused."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     checks = {}
 
@@ -372,8 +378,12 @@ def search_tables(
     fixed lexicographic order; for each consistent one report its nilpotency
     class and whether some one-step widening stays consistent.
 
-    Yields dicts {"table": ..., "class": ..., "extendable": ...}.
+    Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
+    argument is checked before the first table is yielded; an extend_depth
+    below 1 would certify nothing and is refused.
     """
+    if extend_depth < 1:
+        raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
     if p not in (2, 3, 5):
         raise ValueError(f"search supports p in (2, 3, 5), got {p}")
     if hi - lo + 1 > 8:
@@ -382,10 +392,11 @@ def search_tables(
         raise ValueError("support bound must be nonnegative")
     reps = _free_reps(lo, hi)
     choice_lists = [_word_choices(p, i, j, support_bound) for i, j in reps]
+    memo = {}
     for assignment in itertools.product(*choice_lists):
         rep_words = dict(zip(reps, assignment))
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
-        if zsystem.overlap_violation(wg) is not None:
+        if zsystem.overlap_violation(wg, memo=memo) is not None:
             continue
         cls = nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth)
@@ -394,11 +405,12 @@ def search_tables(
 
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
-    one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ..."""
-    if depth <= 0:
-        return True
+    one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
+    would certify nothing and is refused."""
+    if depth < 1:
+        raise ValueError(f"extension depth must be at least 1, got {depth}")
     for ext in _consistent_extensions(wg, support_bound):
-        if extendable(ext, support_bound, depth - 1):
+        if depth == 1 or extendable(ext, support_bound, depth - 1):
             return True
     return False
 
@@ -440,9 +452,11 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int):
             )
             levels[last + 1].append(check)
 
+    memo = {}
+
     def rec(idx: int):
         candidate = WindowGroup(wg.p, lo2, hi2, _propagate(lo2, hi2, rep_words))
-        if zsystem.overlap_violation(candidate, levels[idx]) is not None:
+        if zsystem.overlap_violation(candidate, levels[idx], memo) is not None:
             return
         if idx == len(new_reps):
             yield candidate

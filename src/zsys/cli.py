@@ -26,13 +26,16 @@ CAP_ENV = "ZSYS_CLOSURE_CAP"
 
 def _closure_cap(args) -> int:
     """The --cap value, else ZSYS_CLOSURE_CAP, else the default; a cap that is
-    not positive is a usage error."""
+    not a positive integer is a usage error."""
     cap, source = getattr(args, "cap", None), "--cap"
     if cap is None:
         raw = os.environ.get(CAP_ENV)
         if raw is None:
             return zsystem.DEFAULT_CAP
-        cap, source = int(raw), CAP_ENV
+        try:
+            cap, source = int(raw), CAP_ENV
+        except ValueError:
+            raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
     if cap <= 0:
         raise ValueError(f"{source} must be positive, got {cap}")
     return cap
@@ -162,8 +165,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "lemmas":
-            if args.trials < 1:
-                raise ValueError(f"--trials must be at least 1, got {args.trials}")
             wg = _load_window(args)
             t0 = time.perf_counter()
             report = analysis.lemma_checks(wg, cap, trials=args.trials, seed=args.seed)
@@ -224,13 +225,16 @@ def main(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         if args.command == "search":
-            if args.depth < 1:
-                raise ValueError(f"--depth must be at least 1, got {args.depth}")
             lo, hi = args.window
-            for item in analysis.search_tables(
-                args.p, lo, hi, args.support_bound, cap, args.depth
-            ):
-                print(json.dumps(item, separators=(",", ":")))
+            # printed only once the search has finished, so that a run that
+            # fails part way leaves stdout empty rather than a truncated stream
+            lines = [
+                json.dumps(item, separators=(",", ":")) + "\n"
+                for item in analysis.search_tables(
+                    args.p, lo, hi, args.support_bound, cap, args.depth
+                )
+            ]
+            sys.stdout.write("".join(lines))
             return 0
 
         raise ValueError(f"unknown subcommand {args.command!r}")

@@ -18,6 +18,7 @@ agrees with generic collection whenever the table is consistent.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .laurent import is_prime
@@ -401,36 +402,91 @@ def overlap_checks(lo: int, hi: int):
                 yield (k, j, i)
 
 
-def overlap_violation(wg: WindowGroup, checks=None):
+# witness kinds, numbered for the packed failures of overlap_violation's memo
+_KINDS = ("power_left", "power_right", "triple")
+
+
+def overlap_violation(wg: WindowGroup, checks=None, memo=None):
     """Complete consistency test for the presentation: collect both sides of
     every overlap of two relations (or of the given overlap_checks tuples
     only).  Returns None when consistent, else a witness for the first failing
     check.  Passing every check implies the collected normal forms are unique,
-    hence the group order is exactly p^width."""
-    gens = {i: wg.gen_vec(i) for i in wg.indices()}
-    p = wg.p
+    hence the group order is exactly p^width.
+
+    `memo` is an optional dict, filled only by this function, that keeps the
+    outcome of every check it runs, so that a later call on the same table or
+    on another one skips the collection of any check it has seen in translate.
+    Soundness: a check with extreme indices i and k (k = j for the power
+    check on x_j x_i) collects words whose letters stay in [i, k], rewriting
+    only through the words of pairs inside [i, k], and collection commutes
+    with translating every index.  So its outcome is fixed by p, the check
+    minus i, and the sub-table on [i, k] moved to 0.  The key packs exactly
+    these into a str, one character per number: p, k - i, the middle index
+    minus i (0 for a power check), then (a - i, b - i, c - i, e) for every
+    letter x_c^e in the word of every pair (a, b) inside [i, k], in sorted
+    order.  A passed check is kept as None; a failed one as a str of its
+    kind's number in _KINDS and its two vectors restricted to [i, k], which is
+    rebuilt into the same witness, so every result is the same with or
+    without the memo.  A cached outcome may come from either multiplication
+    path; they agree on every table whose commutator letters are central,
+    because such a table is always consistent.  A table that is not strictly
+    interior skips the memo (collection raises ValueError), and so does a
+    modulus above sys.maxunicode, which does not fit in a character."""
+    p, lo, hi = wg.p, wg.lo, wg.hi
     if checks is None:
-        checks = overlap_checks(wg.lo, wg.hi)
+        checks = overlap_checks(lo, hi)
+    if memo is not None and not (wg._interior_ok and p <= sys.maxunicode):
+        memo = None
+    if memo is not None:
+        letters = sorted((a, b, c, e) for (a, b), word in wg.comm.items() for c, e in word.items())
+        spans = {}
+
+    def letter(i, e=1):
+        return (0,) * (i - lo) + (e,) + (0,) * (hi - i)
+
     products = {}
     for check in checks:
-        j, i = check[-2:]
-        gi, gj = gens[i], gens[j]
+        k, j, i = check[0], check[-2], check[-1]
+        if memo is not None:
+            span = spans.get((i, k))
+            if span is None:
+                span = spans[(i, k)] = "".join(
+                    chr(a - i) + chr(b - i) + chr(c - i) + chr(e)
+                    for a, b, c, e in letters
+                    if i <= a and b <= k
+                )
+            key = chr(p) + chr(k - i) + chr(j - i if len(check) == 3 else 0) + span
+            if key in memo:
+                if memo[key] is None:
+                    continue
+                codes = [ord(c) for c in memo[key]]
+                n = k - i + 1
+                pad, tail = (0,) * (i - lo), (0,) * (hi - k)
+                return {
+                    "kind": _KINDS[codes[0]],
+                    "indices": list(check),
+                    "left": pad + tuple(codes[1 : n + 1]) + tail,
+                    "right": pad + tuple(codes[n + 1 :]) + tail,
+                }
         ji = products.get((j, i))
         if ji is None:
-            ji = products[(j, i)] = wg.mul_vec(gj, gi)
+            ji = products[(j, i)] = wg.mul_vec(letter(j), letter(i))
         if len(check) == 2:
-            left = wg.mul_vec(wg.pow_vec(gj, p - 1), ji)
-            if left != gi:
-                return {"kind": "power_left", "indices": [j, i], "left": left, "right": gi}
-            right = wg.mul_vec(ji, wg.pow_vec(gi, p - 1))
-            if right != gj:
-                return {"kind": "power_right", "indices": [j, i], "left": right, "right": gj}
-            continue
-        gk = gens[check[0]]
-        left = wg.mul_vec(wg.mul_vec(gk, gj), gi)
-        right = wg.mul_vec(gk, ji)
-        if left != right:
-            return {"kind": "triple", "indices": list(check), "left": left, "right": right}
+            # x_j^(p-1) and x_i^(p-1) are single letters, hence in normal form
+            kind, left, right = "power_left", wg.mul_vec(letter(j, p - 1), ji), letter(i)
+            if left == right:
+                kind, left, right = "power_right", wg.mul_vec(ji, letter(i, p - 1)), letter(j)
+        else:
+            gk = letter(k)
+            kind = "triple"
+            left = wg.mul_vec(wg.mul_vec(gk, letter(j)), letter(i))
+            right = wg.mul_vec(gk, ji)
+        failed = left != right
+        if memo is not None:
+            local = left[i - lo : k - lo + 1] + right[i - lo : k - lo + 1]
+            memo[key] = chr(_KINDS.index(kind)) + "".join(map(chr, local)) if failed else None
+        if failed:
+            return {"kind": kind, "indices": list(check), "left": left, "right": right}
     return None
 
 

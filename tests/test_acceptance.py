@@ -11,10 +11,14 @@ exactly on the boundary-only tables.
 
 Criterion 8 reports loudly on the class-3 one-step-extendable tables it finds
 and certifies that each dies at the second widening, the prescribed handling
-for such a discovery; no table that keeps extending can exceed class 2.
+for such a discovery; no table that keeps extending can exceed class 2.  It
+also pins the stream to the digest the benchmark stores for the same
+invocation (the default depth is 1) in bench/reference.json.
 """
 
+import hashlib
 import json
+import pathlib
 import time
 
 from zsys.analysis import (
@@ -294,6 +298,9 @@ def test_criterion_8_search_reproducibility(capsys):
     assert cli_main(list(args)) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2 and out1
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    digest = json.loads(reference.read_text())[" ".join(args + ["--depth", "1"])]
+    assert hashlib.sha256(out1.encode()).hexdigest() == digest
     items = [json.loads(line) for line in out1.strip().splitlines()]
 
     abelian = [i for i in items if i["table"]["comm"] == {}]

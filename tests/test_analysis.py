@@ -423,3 +423,44 @@ def test_consistent_extensions_match_brute_force(p, hi):
         found = list(_consistent_extensions(wg, 1))
         assert len(found) == len(set(found))
         assert set(found) == expected, wg.comm
+
+
+def test_overlap_memo_matches_plain_test():
+    # one memo shared by every sweep, each run forward and then reversed; the
+    # results, witnesses of rejected windows included, must be those of the
+    # test without a memo
+    memo = {}
+    sweeps = [(2, 0, 4, 1), (3, 0, 3, 1), (3, -1, 2, 1), (3, 0, 3, 2), (5, 0, 3, 1)]
+    sizes = []
+    for p, lo, hi, support_bound in sweeps:
+        windows = list(shift_invariant_windows(p, lo, hi, support_bound))
+        results = []
+        for wg in windows + windows[::-1]:
+            result = overlap_violation(wg, memo=memo)
+            assert result == overlap_violation(wg), wg.comm
+            results.append(result)
+        assert None in results and any(results)
+        sizes.append(len(memo))
+    # the p=3 [-1, 2] windows are the [0, 3] ones moved down by one: the
+    # memo already holds every outcome they need
+    assert sizes[2] == sizes[1]
+    # a table that is not strictly interior bypasses the warm memo and raises
+    # the collector's error
+    bad = WindowGroup(3, 0, 2, {(0, 2): {0: 1}})
+    with pytest.raises(ValueError) as plain:
+        overlap_violation(bad)
+    with pytest.raises(ValueError) as memoised:
+        overlap_violation(bad, memo=memo)
+    assert str(memoised.value) == str(plain.value)
+
+
+def test_vacuous_certificates_are_refused():
+    wg = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (0, 4): {2: 1}, (2, 4): {3: 1}})
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            extendable(wg, 1, bad)
+        # refused at the first step, before any table is yielded
+        with pytest.raises(ValueError, match="depth"):
+            next(search_tables(2, 0, 3, 1, extend_depth=bad))
+        with pytest.raises(ValueError, match="trials"):
+            lemma_checks(wg, trials=bad)

@@ -148,7 +148,7 @@ def test_payload_determinism_excluding_timings(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "class", "--example", "unitary", "--p", "3")
     assert code == 2 and "window" in err
     code, _, err = run_cli(capsys, "class", "--p", "3", "--window", "0", "2")
@@ -171,6 +171,11 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
+    # a cap from the environment that is not an integer names the variable
+    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "many")
+    code, out, err = run_cli(capsys, "class", *source)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "ZSYS_CLOSURE_CAP" in err
 
 
 def test_malformed_table_exit_2(tmp_path, capsys):
@@ -195,6 +200,10 @@ def test_cap_exceeded_exit_2(capsys):
         capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "2"
     )
     assert code == 2 and "resource" in err
+    # the search hits the cap after ten tables and prints none of them
+    code, out, err = run_cli(capsys, "search", "--p", "3", "--window", "0", "4", "--cap", "3")
+    assert (code, out) == (2, "")
+    assert "resource" in err
 
 
 def test_unitary_p2_rejected(capsys):
