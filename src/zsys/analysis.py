@@ -11,18 +11,23 @@ against it in the tests.
 The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
 the boundary overlaps level by level while it backtracks), and spread every
-representative word over its translation orbit with `_propagate`.  The
-candidate loop of the search owns one overlap memo and each call of
-`_consistent_extensions` owns another, so a check that recurs in translate
-across candidates or backtracking nodes is collected once.  The exhaustive
-closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
+representative word over its translation orbit with `_propagate`.  One
+overlap memo serves a whole `search_tables` call: its candidate loop and
+every `extendable` and `_consistent_extensions` call under it, so a check
+that recurs in translate across candidates, certificates or backtracking
+nodes is collected once.  A direct `extendable` call owns a memo of its own.
+A backtracking node hands `overlap_violation` its propagated `Table`, which
+is built into a `WindowGroup` only when a check misses the memo.  The
+exhaustive closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import namedtuple
+from types import MappingProxyType
 
 from . import zsystem
 from .matgroup import commutator as mat_commutator
@@ -329,16 +334,21 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
 # -- search over shift-invariant tables -------------------------------------
 
 
-def _word_choices(p: int, i: int, j: int, support_bound: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _word_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
     """All interior words for pair (i, j) with at most support_bound nonzero
-    entries, in lexicographic order of the exponent tuple."""
-    positions = list(range(i + 1, j))
-    out = []
-    for tup in itertools.product(range(p), repeat=len(positions)):
-        nonzero = [(k, e) for k, e in zip(positions, tup) if e]
-        if len(nonzero) <= support_bound:
-            out.append(dict(nonzero))
-    return out
+    entries, in lexicographic order of the exponent tuple over i+1 .. j-1.
+    Built once per argument tuple and shared by every caller, hence read-only
+    words."""
+    positions = range(i + 1, j)
+    words = [
+        MappingProxyType(dict(zip(support, exps)))
+        for n in range(min(support_bound, len(positions)) + 1)
+        for support in itertools.combinations(positions, n)
+        for exps in itertools.product(range(1, p), repeat=n)
+    ]
+    words.sort(key=lambda word: tuple(word.get(k, 0) for k in positions))
+    return tuple(words)
 
 
 def _free_reps(lo: int, hi: int) -> list:
@@ -366,6 +376,12 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
     return table
 
 
+# overlap-memo entries (a short str key each) past which the search empties
+# its memo between candidates: deep searches meet ever new sub-tables, and
+# a cache that only grows would hold them all
+MEMO_LIMIT = 1 << 16
+
+
 def search_tables(
     p: int,
     lo: int,
@@ -380,7 +396,10 @@ def search_tables(
 
     Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
     argument is checked before the first table is yielded; an extend_depth
-    below 1 would certify nothing and is refused.
+    below 1 would certify nothing and is refused.  The call owns one overlap
+    memo for its candidates and their certificates, emptied between
+    candidates once it holds more than MEMO_LIMIT entries; the memo is a
+    cache, so no result depends on it.
     """
     if extend_depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
@@ -399,27 +418,34 @@ def search_tables(
         if zsystem.overlap_violation(wg, memo=memo) is not None:
             continue
         cls = nilpotency_class(wg, cap)
-        ext = extendable(wg, support_bound, extend_depth)
+        ext = extendable(wg, support_bound, extend_depth, memo)
+        if len(memo) > MEMO_LIMIT:
+            memo.clear()
         yield {"table": wg.to_json_dict(), "class": cls, "extendable": ext}
 
 
-def extendable(wg: WindowGroup, support_bound: int, depth: int = 1) -> bool:
+def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
     one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused."""
+    would certify nothing and is refused.  `memo` is an overlap memo of
+    `zsystem.overlap_violation` to share; without one the call owns its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
-    for ext in _consistent_extensions(wg, support_bound):
-        if depth == 1 or extendable(ext, support_bound, depth - 1):
+    if memo is None:
+        memo = {}
+    for ext in _consistent_extensions(wg, support_bound, memo):
+        if depth == 1 or extendable(ext, support_bound, depth - 1, memo):
             return True
     return False
 
 
-def _consistent_extensions(wg: WindowGroup, support_bound: int):
+def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     """Yield consistent shift-invariant widenings of the table to
     [lo-1, hi+1], via backtracking over the newly free orbit representatives
-    with incremental overlap pruning."""
-    lo, hi = wg.lo, wg.hi
+    with incremental overlap pruning.  A node's WindowGroup is built only
+    when one of its checks misses the overlap memo (a fresh one without
+    `memo`), and at the leaves that are yielded."""
+    p, lo, hi = wg.p, wg.lo, wg.hi
     lo2, hi2 = lo - 1, hi + 1
 
     # re-anchor every orbit that already meets the window on its widened
@@ -433,7 +459,7 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int):
             rep_words[(i0, j0)] = {k - shift: e for k, e in word.items()}
         else:
             new_reps.append((i0, j0))
-    choice_lists = [_word_choices(wg.p, i, j, support_bound) for i, j in new_reps]
+    choice_lists = [_word_choices(p, i, j, support_bound) for i, j in new_reps]
 
     def touches(rep, a, b):
         """Whether some translate of the representative lies inside [a, b]."""
@@ -452,14 +478,15 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int):
             )
             levels[last + 1].append(check)
 
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def rec(idx: int):
-        candidate = WindowGroup(wg.p, lo2, hi2, _propagate(lo2, hi2, rep_words))
-        if zsystem.overlap_violation(candidate, levels[idx], memo) is not None:
+        node = zsystem.Table(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
+        if zsystem.overlap_violation(node, levels[idx], memo) is not None:
             return
         if idx == len(new_reps):
-            yield candidate
+            yield WindowGroup(*node)
             return
         for word in choice_lists[idx]:
             rep_words[new_reps[idx]] = word

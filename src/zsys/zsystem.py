@@ -5,9 +5,14 @@ A WindowGroup on [lo, hi] is presented by generators x_lo ... x_hi with
 relations x_i^p = 1 and x_j x_i = x_i x_j w(i, j) for i < j, where the stored
 word w(i, j) is the normal form of [x_j, x_i] and is supported strictly
 between i and j.  Elements are exponent vectors; products are computed by
-collection from the left (repeatedly rewriting the leftmost descending
-adjacent pair), which terminates because rewrite words have strictly interior
-support.
+collection from the left, which terminates because rewrite words have
+strictly interior support.  Collection folds the word onto the normal form
+built so far: a letter x_c lands in place when no letter above c is
+collected, and otherwise crosses the letters above c, pushing back what
+x_l x_c = x_c x_l w(c, l) leaves of them.  A crossing changes only the
+letters above c, so each window remembers the result of every crossing it
+has made (the caching idea behind collection from the left: Vaughan-Lee,
+J. Symbolic Comput. 9, 1990).
 
 When every generator occurring in a commutator word is itself central in the
 table, products collapse to a closed form: add the vectors and accumulate one
@@ -25,6 +30,10 @@ from .laurent import is_prime
 from .matgroup import commutator as mat_commutator
 
 NfStats = namedtuple("NfStats", ["start", "end", "width"])
+
+# a commutator table on [lo, hi] not yet built into its WindowGroup, which
+# WindowGroup(*table) builds; overlap_violation takes either
+Table = namedtuple("Table", ["p", "lo", "hi", "comm"])
 
 
 class CapExceeded(RuntimeError):
@@ -61,10 +70,6 @@ class WindowGroup:
             if norm:
                 table[(i, j)] = norm
         self.comm = table
-        # letters as ascending (index, exponent) tuples, for the rewriting engine
-        self._words = {
-            pair: tuple((k, word[k]) for k in sorted(word)) for pair, word in table.items()
-        }
         used = {k for word in table.values() for k in word}
         self._interior_ok = all(
             i < k < j for (i, j), word in table.items() for k in word
@@ -72,12 +77,15 @@ class WindowGroup:
         self._central = self._interior_ok and all(
             i not in used and j not in used for i, j in table
         )
-        # position-indexed crossing words for the closed-form fast path
+        # position-indexed crossing words as ascending (position, exponent)
+        # letters, for both multiplication paths
         self._cross = {
-            (i - lo, j - lo): tuple((k - lo, e) for k, e in pairs)
-            for (i, j), pairs in self._words.items()
+            (i - lo, j - lo): tuple((k - lo, word[k]) for k in sorted(word))
+            for (i, j), word in table.items()
         }
         self.identity_vec = (0,) * self.width
+        # (c, letters above c) -> the letters above c once one x_c crossed them
+        self._crossings = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -115,49 +123,75 @@ class WindowGroup:
 
     # -- collection --------------------------------------------------------
 
-    def collect(self, letters) -> tuple:
-        """Normal form of a word of (index, exponent) letters, by collection
-        from the left."""
+    def collect(self, letters, start=None) -> tuple:
+        """Normal form of the word `start` * letters, where `start` is a normal
+        form (the identity when None) and the letters are (index, exponent)
+        pairs applied left to right.
+
+        Collection from the left, written as a fold: the normal form built so
+        far is an exponent vector and the rest of the word is a stack.  A
+        popped letter x_c^e with no letter above c adds e to entry c.
+        Otherwise one x_c moves left past the letters x_l^(e_l) above c, which
+        leaves (x_l w(c, l))^(e_l) for each of them in ascending order, and
+        then x_c^(e-1) is popped again.  Leftmost rewriting of a descending
+        adjacent pair keeps its word a collected prefix followed by the
+        unprocessed letters and performs these very rewrites in this order,
+        so the normal forms agree on every strictly interior table, consistent
+        or not.  Everything a crossing produces lies above c, so the letters
+        above c after it depend only on c and on the letters above c before
+        it; the window keeps that result for the next time."""
         if not self._interior_ok:
             raise ValueError("comm table is not strictly interior; collection undefined")
-        p = self.p
+        p, lo = self.p, self.lo
         word = []
         for idx, exp in letters:
-            if not self.lo <= idx <= self.hi:
-                raise ValueError(f"letter index {idx} outside window [{self.lo}, {self.hi}]")
-            e = exp % p
+            if not lo <= idx <= self.hi:
+                raise ValueError(f"letter index {idx} outside window [{lo}, {self.hi}]")
+            c, e = idx - lo, exp % p
             if not e:
                 continue
-            if word and word[-1][0] == idx:
+            if word and word[-1][0] == c:
                 e = (word[-1][1] + e) % p
                 if e:
-                    word[-1] = (idx, e)
+                    word[-1] = (c, e)
                 else:
                     word.pop()
             else:
-                word.append((idx, e))
-        pos = 0
-        while pos < len(word) - 1:
-            j, ej = word[pos]
-            i, ei = word[pos + 1]
-            if j == i:
-                e = (ej + ei) % p
-                word[pos : pos + 2] = [(i, e)] if e else []
-                pos = max(pos - 1, 0)
-            elif j > i:
-                repl = [(j, ej - 1)] if ej > 1 else []
-                repl += [(i, 1), (j, 1)]
-                repl += self._words.get((i, j), ())
-                if ei > 1:
-                    repl.append((i, ei - 1))
-                word[pos : pos + 2] = repl
-                pos = max(pos - 1, 0)
-            else:
-                pos += 1
-        vec = [0] * self.width
-        for idx, e in word:
-            vec[idx - self.lo] = e
+                word.append((c, e))
+        vec = [0] * self.width if start is None else [v % p for v in start]
+        word.reverse()
+        self._fold(vec, word)
         return tuple(vec)
+
+    def _fold(self, vec: list, stack: list):
+        """Collect the position-indexed letters of the stack (top last) onto
+        the normal form vec, in place."""
+        p = self.p
+        crossings = self._crossings
+        while stack:
+            c, e = stack.pop()
+            above = vec[c + 1 :]
+            while e and any(above):
+                key = (c, tuple(above))
+                above = crossings.get(key)
+                if above is None:
+                    above = crossings[key] = self._crossing(*key)
+                vec[c + 1 :] = above
+                vec[c] += 1
+                e -= 1
+            vec[c] = (vec[c] + e) % p
+
+    def _crossing(self, c: int, above: tuple) -> tuple:
+        """The letters above c once one x_c has moved left past `above`."""
+        cross = self._cross
+        out = []
+        for l, e in enumerate(above, c + 1):
+            if e:
+                out += (((l, 1),) + cross.get((c, l), ())) * e
+        out.reverse()
+        vec = [0] * self.width
+        self._fold(vec, out)
+        return tuple(vec[c + 1 :])
 
     def _letters(self, vec):
         lo = self.lo
@@ -180,7 +214,7 @@ class WindowGroup:
                                 for kp, ck in w:
                                     out[kp] += c * ck
             return tuple(v % p for v in out)
-        return self.collect(self._letters(a) + self._letters(b))
+        return self.collect(self._letters(b), start=a)
 
     def inv_vec(self, a: tuple) -> tuple:
         if self._central:
@@ -406,16 +440,24 @@ def overlap_checks(lo: int, hi: int):
 _KINDS = ("power_left", "power_right", "triple")
 
 
-def overlap_violation(wg: WindowGroup, checks=None, memo=None):
+def overlap_violation(wg, checks=None, memo=None):
     """Complete consistency test for the presentation: collect both sides of
     every overlap of two relations (or of the given overlap_checks tuples
     only).  Returns None when consistent, else a witness for the first failing
     check.  Passing every check implies the collected normal forms are unique,
     hence the group order is exactly p^width.
 
+    `wg` is a WindowGroup, or a Table whose words are normalised as a
+    WindowGroup keeps them (exponents in 1..p-1, no empty word).  Until a
+    check misses the memo only p, lo, hi and comm are read, so a Table is
+    built into its WindowGroup at the first miss and never when the memo
+    answers every check.
+
     `memo` is an optional dict, filled only by this function, that keeps the
     outcome of every check it runs, so that a later call on the same table or
     on another one skips the collection of any check it has seen in translate.
+    Its owner decides how far it is shared: the search owns one for all its
+    candidates and extension certificates; the `axioms` report passes none.
     Soundness: a check with extreme indices i and k (k = j for the power
     check on x_j x_i) collects words whose letters stay in [i, k], rewriting
     only through the words of pairs inside [i, k], and collection commutes
@@ -432,13 +474,14 @@ def overlap_violation(wg: WindowGroup, checks=None, memo=None):
     because such a table is always consistent.  A table that is not strictly
     interior skips the memo (collection raises ValueError), and so does a
     modulus above sys.maxunicode, which does not fit in a character."""
-    p, lo, hi = wg.p, wg.lo, wg.hi
+    p, lo, hi, comm = wg.p, wg.lo, wg.hi, wg.comm
+    group = wg if isinstance(wg, WindowGroup) else None
     if checks is None:
         checks = overlap_checks(lo, hi)
-    if memo is not None and not (wg._interior_ok and p <= sys.maxunicode):
-        memo = None
     if memo is not None:
-        letters = sorted((a, b, c, e) for (a, b), word in wg.comm.items() for c, e in word.items())
+        letters = sorted((a, b, c, e) for (a, b), word in comm.items() for c, e in word.items())
+        if p > sys.maxunicode or not all(a < c < b for a, b, c, _ in letters):
+            memo = None
         spans = {}
 
     def letter(i, e=1):
@@ -468,19 +511,21 @@ def overlap_violation(wg: WindowGroup, checks=None, memo=None):
                     "left": pad + tuple(codes[1 : n + 1]) + tail,
                     "right": pad + tuple(codes[n + 1 :]) + tail,
                 }
+        if group is None:
+            group = WindowGroup(p, lo, hi, comm)
         ji = products.get((j, i))
         if ji is None:
-            ji = products[(j, i)] = wg.mul_vec(letter(j), letter(i))
+            ji = products[(j, i)] = group.mul_vec(letter(j), letter(i))
         if len(check) == 2:
             # x_j^(p-1) and x_i^(p-1) are single letters, hence in normal form
-            kind, left, right = "power_left", wg.mul_vec(letter(j, p - 1), ji), letter(i)
+            kind, left, right = "power_left", group.mul_vec(letter(j, p - 1), ji), letter(i)
             if left == right:
-                kind, left, right = "power_right", wg.mul_vec(ji, letter(i, p - 1)), letter(j)
+                kind, left, right = "power_right", group.mul_vec(ji, letter(i, p - 1)), letter(j)
         else:
             gk = letter(k)
             kind = "triple"
-            left = wg.mul_vec(wg.mul_vec(gk, letter(j)), letter(i))
-            right = wg.mul_vec(gk, ji)
+            left = group.mul_vec(group.mul_vec(gk, letter(j)), letter(i))
+            right = group.mul_vec(gk, ji)
         failed = left != right
         if memo is not None:
             local = left[i - lo : k - lo + 1] + right[i - lo : k - lo + 1]

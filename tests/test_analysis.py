@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from zsys import analysis
 from zsys.analysis import (
     CapExceeded,
     _consistent_extensions,
@@ -423,6 +424,52 @@ def test_consistent_extensions_match_brute_force(p, hi):
         found = list(_consistent_extensions(wg, 1))
         assert len(found) == len(set(found))
         assert set(found) == expected, wg.comm
+
+
+def test_word_choices_match_filter_definition():
+    # the direct construction against the definition it replaced: every
+    # exponent tuple over the interior positions, in product order, kept
+    # when at most support_bound entries are nonzero
+    for p in (2, 3, 5):
+        for d in range(1, 9):
+            tuples = list(itertools.product(range(p), repeat=d - 1))
+            for support_bound in range(4):
+                expected = [
+                    {k: e for k, e in zip(range(1, d), tup) if e}
+                    for tup in tuples
+                    if sum(1 for e in tup if e) <= support_bound
+                ]
+                words = _word_choices(p, 0, d, support_bound)
+                assert isinstance(words, tuple)
+                assert list(words) == expected, (p, d, support_bound)
+                assert _word_choices(p, 0, d, support_bound) is words
+
+
+def test_shared_extension_memo_matches_fresh_calls():
+    # one overlap memo, warmed on the tables of another window and then
+    # shared by every certificate below, must not change any answer
+    shared = {}
+    for item in search_tables(3, -1, 2, 1):
+        extendable(WindowGroup.from_json_dict(item["table"]), 1, 1, memo=shared)
+    warm = len(shared)
+    assert warm
+    runs = [(2, 4, 1, 1), (2, 4, 1, 2), (3, 3, 1, 1), (3, 3, 2, 1)]
+    answers = set()
+    for p, hi, support_bound, depth in runs:
+        for item in search_tables(p, 0, hi, support_bound):
+            wg = WindowGroup.from_json_dict(item["table"])
+            result = extendable(wg, support_bound, depth, memo=shared)
+            assert result == extendable(wg, support_bound, depth), (wg.comm, depth)
+            answers.add(result)
+    assert answers == {True, False}
+    assert len(shared) > warm
+
+
+def test_search_memo_limit_changes_nothing(monkeypatch):
+    # emptying the search's memo after every candidate gives the same stream
+    expected = list(search_tables(3, 0, 3, 2))
+    monkeypatch.setattr(analysis, "MEMO_LIMIT", 0)
+    assert list(search_tables(3, 0, 3, 2)) == expected
 
 
 def test_overlap_memo_matches_plain_test():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zsys.analysis import nilpotency_class
 from zsys.matgroup import LaurentMatrix, commutator, make_example
 from zsys.zsystem import (
     CapExceeded,
@@ -240,6 +241,20 @@ def test_inconsistent_table_fails_zs2():
     rep = verify_zs_axioms(wg)
     assert not rep["checks"]["ZS2/ZS6"]["pass"]
     assert overlap_violation(wg) is not None
+
+
+def test_generic_exhaustive_closure_on_noncentral_table():
+    # a consistent class-3 table off the closed-form path: x_5 is both a
+    # commutator letter and a pair index, so every product of the 5^7-element
+    # closure goes through generic collection
+    wg = WindowGroup.from_json_dict(
+        {"p": 5, "lo": 0, "hi": 6, "comm": {"0,5": {"1": 2}, "0,6": {"5": 1}}}
+    )
+    assert not wg._central
+    entry = verify_zs_axioms(wg)["checks"]["ZS2/ZS6"]
+    assert entry["pass"]
+    assert entry["method"] == "exhaustive" and entry["order"] == 5**7
+    assert nilpotency_class(wg) == 3
 
 
 def test_closure_cap_raises():
