@@ -7,18 +7,15 @@ from .matgroup import (
     StandardExample,
     UnitaryExample,
     commutator,
-    conjugate,
     make_example,
 )
 from .rootsystem import Root, alpha, is_positive, negate, reflect
 from .zsystem import (
     CapExceeded,
-    GroupElement,
     NfStats,
     WindowGroup,
     closure,
     derive_window,
-    nf_stats,
     overlap_violation,
     verify_zs_axioms,
 )

@@ -377,8 +377,9 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
 
 
 # overlap-memo entries (a short str key each) past which the search empties
-# its memo between candidates: deep searches meet ever new sub-tables, and
-# a cache that only grows would hold them all
+# its memo, between candidates and at backtracking nodes: deep searches and
+# deep certificates meet ever new sub-tables, and a cache that only grows
+# would hold them all
 MEMO_LIMIT = 1 << 16
 
 
@@ -398,8 +399,9 @@ def search_tables(
     argument is checked before the first table is yielded; an extend_depth
     below 1 would certify nothing and is refused.  The call owns one overlap
     memo for its candidates and their certificates, emptied between
-    candidates once it holds more than MEMO_LIMIT entries; the memo is a
-    cache, so no result depends on it.
+    candidates and at the backtracking nodes of a certificate once it holds
+    more than MEMO_LIMIT entries; the memo is a cache, so no result depends
+    on it.
     """
     if extend_depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
@@ -444,7 +446,8 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     [lo-1, hi+1], via backtracking over the newly free orbit representatives
     with incremental overlap pruning.  A node's WindowGroup is built only
     when one of its checks misses the overlap memo (a fresh one without
-    `memo`), and at the leaves that are yielded."""
+    `memo`), and at the leaves that are yielded.  A node empties the memo
+    first if it holds more than MEMO_LIMIT entries."""
     p, lo, hi = wg.p, wg.lo, wg.hi
     lo2, hi2 = lo - 1, hi + 1
 
@@ -482,6 +485,8 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
         memo = {}
 
     def rec(idx: int):
+        if len(memo) > MEMO_LIMIT:
+            memo.clear()
         node = zsystem.Table(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
         if zsystem.overlap_violation(node, levels[idx], memo) is not None:
             return

@@ -126,15 +126,6 @@ class LaurentPoly:
         self._same(other)
         return LaurentPoly(self.fp, mul_terms(self.terms, other.terms, self.fp.p))
 
-    def scale(self, c: int) -> "LaurentPoly":
-        p = self.fp.p
-        c %= p
-        return LaurentPoly(self.fp, {z: (a * c) % p for z, a in self.terms.items()})
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly(self.fp, {z + k: c for z, c in self.terms.items()})
-
     def subs_neg_t(self) -> "LaurentPoly":
         """Substitute t -> -t, i.e. negate odd-exponent coefficients."""
         p = self.fp.p

@@ -142,11 +142,6 @@ def commutator(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return a.inv() * b.inv() * a * b
 
 
-def conjugate(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """a^b = b^-1 a b."""
-    return b.inv() * a * b
-
-
 class StandardExample:
     """SL_2 over F_p[t, t^-1]: upper unipotents with entry c*t^z as positive
     root groups, lower unipotents as negative ones.  The positive side is

@@ -14,10 +14,12 @@ letters above c, so each window remembers the result of every crossing it
 has made (the caching idea behind collection from the left: Vaughan-Lee,
 J. Symbolic Comput. 9, 1990).
 
-When every generator occurring in a commutator word is itself central in the
-table, products collapse to a closed form: add the vectors and accumulate one
-correction word per crossing pair.  This fast path is used automatically; it
-agrees with generic collection whenever the table is consistent.
+When no letter of any word is an endpoint of a pair, every word is central
+and a crossing leaves the letters above c in place: x_c^e then crosses in
+one step, adding e * e_l * w(c, l) for each letter x_l^(e_l) above c, which
+is what e memoised crossings add.  The fold takes that step on such a
+window and keeps no crossings there.  Multiplication and inversion only feed
+the fold letters, so it is the one multiplication rule.
 """
 
 from __future__ import annotations
@@ -78,11 +80,16 @@ class WindowGroup:
             i not in used and j not in used for i, j in table
         )
         # position-indexed crossing words as ascending (position, exponent)
-        # letters, for both multiplication paths
+        # letters
         self._cross = {
             (i - lo, j - lo): tuple((k - lo, word[k]) for k in sorted(word))
             for (i, j), word in table.items()
         }
+        # on a central window, per position c the (l, crossing word) of every
+        # pair (c, l) that has a word
+        self._above = [[] for _ in range(self.width)]
+        for (c, l), word in self._cross.items():
+            self._above[c].append((l, word))
         self.identity_vec = (0,) * self.width
         # (c, letters above c) -> the letters above c once one x_c crossed them
         self._crossings = {}
@@ -96,19 +103,6 @@ class WindowGroup:
         if not self.lo <= i <= self.hi:
             raise ValueError(f"generator index {i} outside window [{self.lo}, {self.hi}]")
         return tuple(1 if k == i - self.lo else 0 for k in range(self.width))
-
-    def generator(self, i: int) -> "GroupElement":
-        return GroupElement(self, self.gen_vec(i))
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, self.identity_vec)
-
-    def element(self, vec) -> "GroupElement":
-        return GroupElement(self, tuple(vec))
-
-    def element_from_word(self, word) -> "GroupElement":
-        """Collect a word given as (index, exponent) pairs, applied left to right."""
-        return GroupElement(self, self.collect(word))
 
     def is_abelian(self) -> bool:
         return not self.comm
@@ -126,7 +120,8 @@ class WindowGroup:
     def collect(self, letters, start=None) -> tuple:
         """Normal form of the word `start` * letters, where `start` is a normal
         form (the identity when None) and the letters are (index, exponent)
-        pairs applied left to right.
+        pairs applied left to right; raises ValueError on a table that is not
+        strictly interior.
 
         Collection from the left, written as a fold: the normal form built so
         far is an exponent vector and the rest of the word is a stack.  A
@@ -139,9 +134,13 @@ class WindowGroup:
         so the normal forms agree on every strictly interior table, consistent
         or not.  Everything a crossing produces lies above c, so the letters
         above c after it depend only on c and on the letters above c before
-        it; the window keeps that result for the next time."""
-        if not self._interior_ok:
-            raise ValueError("comm table is not strictly interior; collection undefined")
+        it; the window keeps that result for the next time.
+
+        On a central window (no word letter is an endpoint of a pair) the
+        letters x_l above c stay put when x_c crosses them and every letter
+        of w(c, l) lands without crossing anything, so one crossing adds
+        e_l * w(c, l) for each x_l^(e_l) above c.  The fold adds e times that
+        in one step, with no crossing kept."""
         p, lo = self.p, self.lo
         word = []
         for idx, exp in letters:
@@ -164,9 +163,22 @@ class WindowGroup:
         return tuple(vec)
 
     def _fold(self, vec: list, stack: list):
-        """Collect the position-indexed letters of the stack (top last) onto
-        the normal form vec, in place."""
+        """Collect the position-indexed letters x_c^e of the stack (top last,
+        0 < e < p) onto the normal form vec, in place."""
+        if not self._interior_ok:
+            raise ValueError("comm table is not strictly interior; collection undefined")
         p = self.p
+        if self._central:
+            above = self._above
+            while stack:
+                c, e = stack.pop()
+                for l, word in above[c]:
+                    f = e * vec[l]
+                    if f:
+                        for k, ek in word:
+                            vec[k] = (vec[k] + f * ek) % p
+                vec[c] = (vec[c] + e) % p
+            return
         crossings = self._crossings
         while stack:
             c, e = stack.pop()
@@ -198,42 +210,21 @@ class WindowGroup:
         return [(lo + k, e) for k, e in enumerate(vec) if e]
 
     def mul_vec(self, a: tuple, b: tuple) -> tuple:
-        if self._central:
-            p = self.p
-            out = [x + y for x, y in zip(a, b)]
-            cross = self._cross
-            for jp in range(self.width):
-                ej = a[jp]
-                if ej:
-                    for ip in range(jp):
-                        bi = b[ip]
-                        if bi:
-                            w = cross.get((ip, jp))
-                            if w:
-                                c = ej * bi
-                                for kp, ck in w:
-                                    out[kp] += c * ck
-            return tuple(v % p for v in out)
-        return self.collect(self._letters(b), start=a)
+        """Normal form of a * b: b's letters folded onto a."""
+        p = self.p
+        vec = [v % p for v in a]
+        stack = [(c, r) for c, e in enumerate(b) if (r := e % p)]
+        stack.reverse()
+        self._fold(vec, stack)
+        return tuple(vec)
 
     def inv_vec(self, a: tuple) -> tuple:
-        if self._central:
-            p = self.p
-            out = [-v for v in a]
-            cross = self._cross
-            for jp in range(self.width):
-                ej = a[jp]
-                if ej:
-                    for ip in range(jp):
-                        ai = a[ip]
-                        if ai:
-                            w = cross.get((ip, jp))
-                            if w:
-                                c = ej * ai
-                                for kp, ck in w:
-                                    out[kp] += c * ck
-            return tuple(v % p for v in out)
-        return self.collect([(idx, -e) for idx, e in reversed(self._letters(a))])
+        """Normal form of a^-1: the letters x_c^(-e) of a in descending order,
+        folded onto the identity."""
+        p = self.p
+        vec = [0] * self.width
+        self._fold(vec, [(c, r) for c, e in enumerate(a) if (r := -e % p)])
+        return tuple(vec)
 
     def pow_vec(self, a: tuple, k: int) -> tuple:
         if k < 0:
@@ -309,73 +300,6 @@ class WindowGroup:
 
     def __repr__(self):
         return f"WindowGroup(p={self.p}, window=[{self.lo}, {self.hi}], relations={len(self.comm)})"
-
-
-class GroupElement:
-    """Normal-form element of a WindowGroup; equality is vector equality."""
-
-    __slots__ = ("window", "e")
-
-    def __init__(self, window: WindowGroup, e):
-        e = tuple(int(v) % window.p for v in e)
-        if len(e) != window.width:
-            raise ValueError(f"expected {window.width} exponents, got {len(e)}")
-        self.window = window
-        self.e = e
-
-    def _same(self, other: "GroupElement"):
-        if self.window != other.window:
-            raise ValueError("window mismatch")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._same(other)
-        return GroupElement(self.window, self.window.mul_vec(self.e, other.e))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.window, self.window.inv_vec(self.e))
-
-    def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(self.window, self.window.pow_vec(self.e, k))
-
-    def commutator(self, other: "GroupElement") -> "GroupElement":
-        self._same(other)
-        return GroupElement(self.window, self.window.comm_vec(self.e, other.e))
-
-    def conjugate_by(self, other: "GroupElement") -> "GroupElement":
-        self._same(other)
-        return GroupElement(self.window, self.window.conj_vec(self.e, other.e))
-
-    def shift(self, k: int) -> "GroupElement":
-        return GroupElement(self.window, self.window.shift_vec(self.e, k))
-
-    def stats(self) -> NfStats:
-        return self.window.stats_vec(self.e)
-
-    def is_identity(self) -> bool:
-        return self.e == self.window.identity_vec
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.window == other.window
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return hash(self.e)
-
-    def __repr__(self):
-        if self.is_identity():
-            return "1"
-        return " ".join(
-            f"x{idx}" + (f"^{e}" if e > 1 else "")
-            for idx, e in zip(self.window.indices(), self.e)
-            if e
-        )
-
-
-def nf_stats(a: GroupElement) -> NfStats:
-    return a.stats()
 
 
 # -- deriving windows from the matrix oracles -------------------------------
@@ -469,11 +393,9 @@ def overlap_violation(wg, checks=None, memo=None):
     order.  A passed check is kept as None; a failed one as a str of its
     kind's number in _KINDS and its two vectors restricted to [i, k], which is
     rebuilt into the same witness, so every result is the same with or
-    without the memo.  A cached outcome may come from either multiplication
-    path; they agree on every table whose commutator letters are central,
-    because such a table is always consistent.  A table that is not strictly
-    interior skips the memo (collection raises ValueError), and so does a
-    modulus above sys.maxunicode, which does not fit in a character."""
+    without the memo.  A table that is not strictly interior skips the memo
+    (collection raises ValueError), and so does a modulus above
+    sys.maxunicode, which does not fit in a character."""
     p, lo, hi, comm = wg.p, wg.lo, wg.hi, wg.comm
     group = wg if isinstance(wg, WindowGroup) else None
     if checks is None:

@@ -466,10 +466,13 @@ def test_shared_extension_memo_matches_fresh_calls():
 
 
 def test_search_memo_limit_changes_nothing(monkeypatch):
-    # emptying the search's memo after every candidate gives the same stream
-    expected = list(search_tables(3, 0, 3, 2))
+    # emptying the search's memo after every candidate and at every
+    # backtracking node of a certificate gives the same stream
+    cases = [((3, 0, 3, 2), {}), ((2, 0, 4, 1), {"extend_depth": 2})]
+    expected = [list(search_tables(*args, **kwargs)) for args, kwargs in cases]
     monkeypatch.setattr(analysis, "MEMO_LIMIT", 0)
-    assert list(search_tables(3, 0, 3, 2)) == expected
+    for (args, kwargs), stream in zip(cases, expected):
+        assert list(search_tables(*args, **kwargs)) == stream
 
 
 def test_overlap_memo_matches_plain_test():

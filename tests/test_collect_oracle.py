@@ -1,10 +1,15 @@
-"""Differential test of the collector against the list-rewriting oracle.
+"""Differential tests of the collector against two oracles.
 
 `oracle_collect` is the collector that `WindowGroup.collect` replaced: it
 rewrites the leftmost descending adjacent pair of a list of letters until the
 word is collected.  The fold in `WindowGroup.collect` must reach the same
 normal form on every strictly interior table, consistent or not, so the
 tables drawn here are random and mostly inconsistent.
+
+`closed_form_mul` and `closed_form_inv` are the multiplication rule that the
+fold's one-step crossing replaced on central tables, those where no letter
+of any word is an endpoint of a pair.  Central tables are drawn separately,
+so that the one-step crossing meets both oracles on every draw.
 """
 
 from hypothesis import given, settings
@@ -59,6 +64,27 @@ def oracle_collect(wg, letters) -> tuple:
     return tuple(vec)
 
 
+def closed_form_mul(wg, a, b) -> tuple:
+    """a * b on a central table: moving each x_i^(b_i) of b left past each
+    x_j^(a_j) of a with j > i leaves w(i, j)^(a_j b_i), which is central."""
+    return _plus_words(wg, [x + y for x, y in zip(a, b)], a, b)
+
+
+def closed_form_inv(wg, a) -> tuple:
+    """a^-1 on a central table: -a, plus w(i, j)^(a_j a_i) for every pair
+    i < j, left behind when x_lo^(-a_lo) ... x_hi^(-a_hi) is reversed."""
+    return _plus_words(wg, [-v for v in a], a, a)
+
+
+def _plus_words(wg, out, a, b) -> tuple:
+    """out times w(i, j)^(a_j b_i) for every pair i < j, mod p."""
+    for (i, j), word in wg.comm.items():
+        c = a[j - wg.lo] * b[i - wg.lo]
+        for k, e in word.items():
+            out[k - wg.lo] += c * e
+    return tuple(v % wg.p for v in out)
+
+
 def letters_of(wg, vec):
     return [(wg.lo + k, e) for k, e in enumerate(vec) if e]
 
@@ -78,18 +104,58 @@ def interior_tables(draw):
     return WindowGroup(p, lo, hi, comm)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(data=st.data())
-def test_fold_matches_list_rewriting(data):
-    wg = data.draw(interior_tables())
+@st.composite
+def central_tables(draw):
+    """A random central table on a window of width at most 8: the word
+    letters are drawn first, and every pair of the other indices gets a word
+    on the letters between them (zero exponents thin it out)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    lo = draw(st.integers(-3, 3))
+    hi = lo + draw(st.integers(0, 7))
+    letters = {k for k in range(lo, hi + 1) if draw(st.booleans())}
+    ends = [k for k in range(lo, hi + 1) if k not in letters]
+    comm = {}
+    for i in ends:
+        for j in ends:
+            if i < j:
+                comm[(i, j)] = {k: draw(st.integers(0, p - 1)) for k in letters if i < k < j}
+    return WindowGroup(p, lo, hi, comm)
+
+
+def check_against_oracles(data, wg):
+    """collect (with and without a start vector), mul_vec and inv_vec against
+    the list-rewriting oracle."""
     index = st.integers(wg.lo, wg.hi)
     exponent = st.integers(-2 * wg.p, 2 * wg.p)
     vector = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
     word = data.draw(st.lists(st.tuples(index, exponent), max_size=12))
     assert wg.collect(word) == oracle_collect(wg, word)
+    start = data.draw(vector)
+    assert wg.collect(word, start) == oracle_collect(wg, letters_of(wg, start) + word)
     for _ in range(3):
         a, b = data.draw(vector), data.draw(vector)
         assert wg.mul_vec(a, b) == oracle_collect(wg, letters_of(wg, a) + letters_of(wg, b))
         assert wg.inv_vec(a) == oracle_collect(
             wg, [(idx, -e) for idx, e in reversed(letters_of(wg, a))]
         )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_fold_matches_list_rewriting(data):
+    check_against_oracles(data, data.draw(interior_tables()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_one_step_crossing_matches_oracles(data):
+    # on a central table the fold crosses in one step; the list rewriting
+    # and the closed form must both agree with it
+    wg = data.draw(central_tables())
+    assert wg._central
+    check_against_oracles(data, wg)
+    vector = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
+    for _ in range(3):
+        a, b = data.draw(vector), data.draw(vector)
+        assert wg.mul_vec(a, b) == closed_form_mul(wg, a, b)
+        assert wg.inv_vec(a) == closed_form_inv(wg, a)
