@@ -75,6 +75,17 @@ class LaurentPoly:
         self._hash = None
 
     @classmethod
+    def _reduced(cls, fp: Fp, terms: dict) -> "LaurentPoly":
+        """Wrap a term map whose coefficients are already reduced mod p and
+        nonzero, without copying or renormalizing it; the caller hands the map
+        over and keeps no reference to it."""
+        poly = object.__new__(cls)
+        poly.fp = fp
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
+    @classmethod
     def zero(cls, fp: Fp) -> "LaurentPoly":
         return cls(fp)
 

@@ -16,9 +16,11 @@ from .rootsystem import Root, check_root
 
 
 class LaurentMatrix:
-    """Square matrix (2x2 or 3x3) over LaurentPoly with determinant 1."""
+    """Square matrix (2x2 or 3x3) over LaurentPoly with determinant 1.
 
-    __slots__ = ("fp", "n", "rows", "_hash")
+    A matrix is immutable, so it keeps its inverse once computed."""
+
+    __slots__ = ("fp", "n", "rows", "_hash", "_inv")
 
     def __init__(self, fp: Fp, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -33,6 +35,19 @@ class LaurentMatrix:
         self.n = n
         self.rows = rows
         self._hash = None
+        self._inv = None
+
+    @classmethod
+    def _trusted(cls, fp: Fp, rows: tuple) -> "LaurentMatrix":
+        """Wrap rows built by this module: a square tuple of row tuples of
+        LaurentPoly over fp, which the public constructor would accept."""
+        m = object.__new__(cls)
+        m.fp = fp
+        m.n = len(rows)
+        m.rows = rows
+        m._hash = None
+        m._inv = None
+        return m
 
     @classmethod
     def identity(cls, fp: Fp, n: int) -> "LaurentMatrix":
@@ -53,24 +68,36 @@ class LaurentMatrix:
         return [[e.to_pairs() for e in row] for row in self.rows]
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Schoolbook product that skips every k whose entry a[i][k] or b[k][j]
+        is zero; the entries of the generators are mostly zero.  Each term
+        product comes reduced from mul_terms, so a sum of several is reduced
+        once at the end."""
         if self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        p = self.fp.p
-        n = self.n
-        a, b = self.rows, other.rows
+        fp = self.fp
+        p = fp.p
+        cols = list(zip(*[[e.terms for e in row] for row in other.rows]))
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: dict = {}
-                for k in range(n):
-                    for z, c in mul_terms(a[i][k].terms, b[k][j].terms, p).items():
-                        acc[z] = (acc.get(z, 0) + c) % p
-                row.append(LaurentPoly(self.fp, {z: c for z, c in acc.items() if c}))
-            out.append(row)
-        return LaurentMatrix(self.fp, out)
+        for row in self.rows:
+            left = [e.terms for e in row]
+            out_row = []
+            for col in cols:
+                parts = [mul_terms(x, y, p) for x, y in zip(left, col) if x and y]
+                if not parts:
+                    terms = {}
+                elif len(parts) == 1:
+                    terms = parts[0]
+                else:
+                    acc = parts[0]
+                    for part in parts[1:]:
+                        for z, c in part.items():
+                            acc[z] = acc.get(z, 0) + c
+                    terms = {z: r for z, c in acc.items() if (r := c % p)}
+                out_row.append(LaurentPoly._reduced(fp, terms))
+            out.append(tuple(out_row))
+        return LaurentMatrix._trusted(fp, tuple(out))
 
     def det(self) -> LaurentPoly:
         r = self.rows
@@ -83,9 +110,14 @@ class LaurentMatrix:
         )
 
     def inv(self) -> "LaurentMatrix":
-        """Inverse via the adjugate.  For determinant 1 (all group elements)
-        this is division free; any unit determinant (a monomial, e.g. the shift
-        conjugator of the 3x3 family has det -1) is scaled out exactly."""
+        """Inverse via the adjugate, computed on the first call and kept; the
+        inverse keeps this matrix as its own inverse.  For determinant 1 (all
+        group elements) this is division free; any unit determinant (a
+        monomial, e.g. the shift conjugator of the 3x3 family has det -1) is
+        scaled out exactly.  A determinant that is not a unit raises
+        ValueError on every call."""
+        if self._inv is not None:
+            return self._inv
         det = self.det()
         if det.is_one():
             unit = None
@@ -108,7 +140,10 @@ class LaurentMatrix:
             adj = [[cof[j][i] for j in range(3)] for i in range(3)]
         if unit is not None:
             adj = [[e * unit for e in row] for row in adj]
-        return LaurentMatrix(self.fp, adj)
+        inverse = LaurentMatrix(self.fp, adj)
+        inverse._inv = self
+        self._inv = inverse
+        return inverse
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix(self.fp, list(zip(*self.rows)))

@@ -29,10 +29,18 @@ def rgd_check(example, K: int) -> dict:
     p = example.p
     units = range(1, p)
     checks = {}
+    # every root-group element and torus element the checks use, built once so
+    # that each is inverted at most once
+    gen = {
+        (root, lam): example.root_generator(root, lam)
+        for root in _range_roots(K)
+        for lam in units
+    }
+    torus = {lam: example.h(lam) for lam in units}
 
     witness = None
     for root in _range_roots(K):
-        if example.root_generator(root, 1).is_identity():
+        if gen[root, 1].is_identity():
             witness = {"root": list(root)}
             break
     checks["RGD1"] = {"pass": witness is None}
@@ -46,9 +54,7 @@ def rgd_check(example, K: int) -> dict:
             for eps in (1, -1):
                 for lam in units:
                     for mu in units:
-                        a = example.root_generator(Root(z, eps), lam)
-                        b = example.root_generator(Root(z2, eps), mu)
-                        c = commutator(a, b)
+                        c = commutator(gen[Root(z, eps), lam], gen[Root(z2, eps), mu])
                         try:
                             if eps == 1:
                                 vec = example.normal_form(c, z + 1, z2 - 1)
@@ -108,9 +114,8 @@ def rgd_check(example, K: int) -> dict:
     witness = None
     for root in _range_roots(K):
         for lam in units:
-            g = example.root_generator(root, 1)
-            h = example.h(lam)
-            image = h.inv() * g * h
+            h = torus[lam]
+            image = h.inv() * gen[root, 1] * h
             matched = example.root_of(image)
             if matched is None or matched[0] != root:
                 witness = {"root": list(root), "lam": lam}
@@ -147,13 +152,14 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
     u = example.root_generator(a, lam)
     v = example.root_generator(negate(a), (-example.fp.inv(lam)) % p)
     m = v * u * v
+    m_inv = m.inv()
 
     action_ok = True
     action_witness = None
     for root in _range_roots(K):
         for mu in range(1, p):
             g = example.root_generator(root, mu)
-            image = m * g * m.inv()
+            image = m * g * m_inv
             matched = example.root_of(image)
             if matched is None or matched[0] != reflect(i, root):
                 action_ok = False
@@ -173,7 +179,7 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
         u2 = example.root_generator(a, lam2)
         v2 = example.root_generator(negate(a), (-example.fp.inv(lam2)) % p)
         m2 = v2 * u2 * v2
-        if not example.in_torus(m.inv() * m2):
+        if not example.in_torus(m_inv * m2):
             torus_ok = False
             torus_witness = {"lam": lam, "lam2": lam2}
             break

@@ -44,6 +44,12 @@ class CapExceeded(RuntimeError):
 
 DEFAULT_CAP = 100_000
 
+# entries past which a fold empties its window's crossing memo: a long run on
+# a wide non-central window keeps meeting new crossings (about 300,000 in
+# 40,000 products on p=5 [0,10]).  The memo is a cache, so no result depends
+# on the limit; the windows of the `search` benchmark hold at most 57.
+CROSSING_LIMIT = 1 << 16
+
 
 class WindowGroup:
     """Finite p-group presented on generators x_lo ... x_hi by a commutator table."""
@@ -91,7 +97,8 @@ class WindowGroup:
         for (c, l), word in self._cross.items():
             self._above[c].append((l, word))
         self.identity_vec = (0,) * self.width
-        # (c, letters above c) -> the letters above c once one x_c crossed them
+        # (c, letters above c) -> the letters above c once one x_c crossed
+        # them, emptied past CROSSING_LIMIT entries
         self._crossings = {}
 
     # -- basic structure ---------------------------------------------------
@@ -180,6 +187,8 @@ class WindowGroup:
                 vec[c] = (vec[c] + e) % p
             return
         crossings = self._crossings
+        if len(crossings) > CROSSING_LIMIT:
+            crossings.clear()
         while stack:
             c, e = stack.pop()
             above = vec[c + 1 :]
@@ -282,7 +291,7 @@ class WindowGroup:
             for key, word in data.get("comm", {}).items():
                 i, j = (int(part) for part in key.split(","))
                 comm[(i, j)] = {int(k): int(e) for k, e in word.items()}
-        except (KeyError, ValueError, AttributeError) as err:
+        except (KeyError, ValueError, AttributeError, TypeError, OverflowError) as err:
             raise ValueError(f"malformed window-group data: {err}") from err
         return cls(p, lo, hi, comm)
 

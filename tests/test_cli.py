@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zsys.cli import main
 
@@ -148,7 +150,7 @@ def test_payload_determinism_excluding_timings(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_usage_errors_exit_2(capsys, monkeypatch):
+def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "class", "--example", "unitary", "--p", "3")
     assert code == 2 and "window" in err
     code, _, err = run_cli(capsys, "class", "--p", "3", "--window", "0", "2")
@@ -167,6 +169,16 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         bad.append(["nf", *source, "--word", "0:1", "--cap", cap])
         bad.append(["comm", *source, "--left", "0:1", "--right", "2:1", "--cap", cap])
         bad.append(["shiftinv", *source, "--a", "0:1", "--b", "1:1", "--cap", cap])
+    # a table file whose fields have the wrong types
+    malformed = (
+        {"p": None, "lo": 0, "hi": 2},
+        [1, 2],
+        {"p": 3, "lo": 0, "hi": 2, "comm": {"0,2": {"1": None}}},
+    )
+    for n, data in enumerate(malformed):
+        table = tmp_path / f"malformed{n}.json"
+        table.write_text(json.dumps(data))
+        bad.append(["class", "--table", str(table)])
     for argv in bad:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -187,6 +199,55 @@ def test_malformed_table_exit_2(tmp_path, capsys):
     f2.write_text(json.dumps({"p": 3}))
     code, _, _ = run_cli(capsys, "axioms", "--table", str(f2))
     assert code == 2
+
+
+# every number drawn, spelled out or not, lies in [-3, 5], so a table that
+# loads has p in {2, 3} and at most 3^9 elements
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.floats(-3, 5) | st.sampled_from([float("inf"), float("nan")]),
+    st.sampled_from(["", " 3", "-1", "2.5", "1e1", "0,2", "x"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("0123,", max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# each field is well-typed or arbitrary, so that whole tables that load, and
+# tables with one bad field among good ones, are both drawn
+pair_keys = st.builds("{},{}".format, st.integers(-2, 4), st.integers(-2, 4))
+words = st.dictionaries(st.integers(-2, 4).map(str), st.integers(-3, 5) | json_values, max_size=3)
+table_documents = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {
+            "p": st.sampled_from([2, 3]) | json_values,
+            "lo": st.integers(-2, 1) | json_values,
+            "hi": st.integers(0, 4) | json_values,
+        },
+        optional={
+            "comm": st.dictionaries(pair_keys | st.text("0123,-", max_size=4), words | json_values, max_size=3)
+            | json_values
+        },
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=table_documents)
+def test_class_table_never_raises(tmp_path, capsys, document):
+    # every JSON document, well-formed or not, gives an exit code, never a
+    # traceback; a usage error leaves stdout empty
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "class", "--table", str(table))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith(("error:", "resource error:"))
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -12,10 +12,12 @@ of any word is an endpoint of a pair.  Central tables are drawn separately,
 so that the one-step crossing meets both oracles on every draw.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zsys.zsystem import WindowGroup
+from zsys import zsystem
+from zsys.zsystem import WindowGroup, overlap_violation
 
 
 def oracle_collect(wg, letters) -> tuple:
@@ -159,3 +161,30 @@ def test_one_step_crossing_matches_oracles(data):
         a, b = data.draw(vector), data.draw(vector)
         assert wg.mul_vec(a, b) == closed_form_mul(wg, a, b)
         assert wg.inv_vec(a) == closed_form_inv(wg, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_crossing_limit_changes_nothing(data):
+    # the crossing memo is a cache: a window that empties it at every fold
+    # gives the results of one that keeps every crossing
+    wg = data.draw(interior_tables())
+    assume(not wg._central)
+    vector = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
+    word = data.draw(
+        st.lists(st.tuples(st.integers(wg.lo, wg.hi), st.integers(-2 * wg.p, 2 * wg.p)), max_size=12)
+    )
+    start = data.draw(vector)
+    pairs = [(data.draw(vector), data.draw(vector)) for _ in range(3)]
+
+    def results(group):
+        out = [group.collect(word), group.collect(word, start), overlap_violation(group)]
+        for a, b in pairs:
+            out += [group.mul_vec(a, b), group.mul_vec(b, a), group.inv_vec(a)]
+        return out
+
+    kept = WindowGroup(wg.p, wg.lo, wg.hi, wg.comm)
+    expected = results(kept)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zsystem, "CROSSING_LIMIT", 0)
+        assert results(WindowGroup(wg.p, wg.lo, wg.hi, wg.comm)) == expected

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsys.laurent import Fp, LaurentPoly
 from zsys.matgroup import (
@@ -350,3 +352,101 @@ def test_matrix_product_associative_randomized():
     for _ in range(40):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
         assert (a * b) * c == a * (b * c)
+
+
+# -- differential tests of the product and the inverse -----------------------
+
+
+def schoolbook_mul(a, b):
+    """The product by its definition: entry (i, j) is the sum over every k of
+    a[i][k] * b[k][j], each polynomial product convolved term by term."""
+    fp, n, p = a.fp, a.n, a.fp.p
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = {}
+            for k in range(n):
+                for za, ca in a.rows[i][k].terms.items():
+                    for zb, cb in b.rows[k][j].terms.items():
+                        acc[za + zb] = (acc.get(za + zb, 0) + ca * cb) % p
+            row.append(LaurentPoly(fp, acc))
+        rows.append(row)
+    return LaurentMatrix(fp, rows)
+
+
+@st.composite
+def sparse_entries(draw, fp):
+    """A Laurent polynomial with up to three terms and exponents in [-3, 3];
+    zero half the time."""
+    if draw(st.booleans()):
+        return LaurentPoly.zero(fp)
+    terms = draw(st.dictionaries(st.integers(-3, 3), st.integers(1, fp.p - 1), max_size=3))
+    return LaurentPoly(fp, terms)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two random sparse matrices of one size over one F_p."""
+    fp = Fp(draw(st.sampled_from((2, 3, 5, 7))))
+    n = draw(st.sampled_from((2, 3)))
+
+    def matrix():
+        return LaurentMatrix(fp, [[draw(sparse_entries(fp)) for _ in range(n)] for _ in range(n)])
+
+    return matrix(), matrix()
+
+
+@st.composite
+def invertible_matrices(draw):
+    """u * l * d with u upper and l lower unitriangular with sparse entries
+    and d diagonal with monomial entries, so the determinant is a unit."""
+    fp = Fp(draw(st.sampled_from((2, 3, 5, 7))))
+    n = draw(st.sampled_from((2, 3)))
+    one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
+
+    def triangle(upper):
+        return LaurentMatrix(fp, [
+            [one if i == j else (draw(sparse_entries(fp)) if (i < j) == upper else zero)
+             for j in range(n)]
+            for i in range(n)
+        ])
+
+    units = [
+        LaurentPoly.monomial(fp, draw(st.integers(1, fp.p - 1)), draw(st.integers(-2, 2)))
+        for _ in range(n)
+    ]
+    return triangle(True) * triangle(False) * LaurentMatrix.diagonal(fp, units)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pair=matrix_pairs())
+def test_product_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook_mul(a, b)
+    assert b * a == schoolbook_mul(b, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(m=invertible_matrices())
+def test_inverse_is_computed_once_and_linked(m):
+    inverse = m.inv()
+    assert m.inv() is inverse
+    assert inverse.inv() is m
+    assert (m * inverse).is_identity() and (inverse * m).is_identity()
+    assert schoolbook_mul(m, inverse) == LaurentMatrix.identity(m.fp, m.n)
+    # an equal matrix built afresh computes the same inverse
+    assert LaurentMatrix(m.fp, m.rows).inv() == inverse
+
+
+def test_non_unit_determinant_raises_on_every_call():
+    fp = Fp(5)
+    one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
+    f = LaurentPoly.from_pairs(fp, [[0, 1], [1, 1]])
+    for bad in (
+        LaurentMatrix(fp, [[f, zero], [zero, one]]),
+        LaurentMatrix(fp, [[one, f, zero], [zero, f, zero], [zero, zero, one]]),
+    ):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a unit"):
+                bad.inv()

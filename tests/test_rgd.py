@@ -1,5 +1,10 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
+from zsys.cli import main as cli_main
 from zsys.matgroup import StandardExample, UnitaryExample, make_example
 from zsys.rgd import rgd3_m_map, rgd_check
 from zsys.rootsystem import Root, reflect
@@ -114,3 +119,17 @@ def test_rgd2_agrees_with_derived_window_table():
             stored = wg.comm.get((i, j), {})
             assert word == {k: (-e) % wg.p for k, e in stored.items()}
             assert all(i < k < j for k in word)
+
+
+@pytest.mark.parametrize("example,p", [(e, p) for p in ("5", "7") for e in ("standard", "unitary")])
+def test_rgd_payloads_match_benchmark_reference(capsys, example, p):
+    # the benchmark's rgd invocations, hashed as the benchmark hashes them:
+    # the report without its wall-clock timings, in compact JSON
+    argv = ["rgd", "--example", example, "--p", p, "--K", "4"]
+    assert cli_main(list(argv)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload.pop("timings")
+    stream = json.dumps(payload, separators=(",", ":")) + "\n"
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    digest = json.loads(reference.read_text())[" ".join(argv)]
+    assert hashlib.sha256(stream.encode()).hexdigest() == digest
