@@ -3,8 +3,11 @@ and derived series, nilpotency class, lower cutoff, the abelian criterion,
 shift-invariant closures, lemma property checks, and the exhaustive search
 over shift-invariant commutation tables.
 
-Subgroups are materialized element sets (windows at desk scale are small);
-series terms are generated through normal closures of generator commutators,
+Subgroups are materialized element sets (windows at desk scale are small),
+enumerated by cosets in `zsystem.closure`, so every function here that forms
+a subgroup presumes a consistent table: the search forms them only for
+tables that pass the overlap test, and the CLI refuses the others.  Series
+terms are generated through normal closures of generator commutators,
 which agrees with the brute-force double-loop definition and is checked
 against it in the tests.
 
@@ -78,7 +81,8 @@ class Subgroup:
 
 
 def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
-    """BFS closure of the generating vectors."""
+    """The subgroup generated by the vectors, enumerated by `closure` (coset
+    enumeration, which presumes a consistent table)."""
     gens = [tuple(v) for v in gen_vecs]
     return Subgroup(wg, gens, closure(wg, gens, cap))
 

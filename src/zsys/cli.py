@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto module operations; all output is JSON on
 stdout (JSON lines for `search`).  Exit codes: 0 when every requested check
 passes, 1 when a check fails (the JSON carries witnesses), 2 for usage,
-malformed-input, or resource errors.  Identical invocations produce
-byte-identical payloads; wall-clock timings, when present, live in a separate
-"timings" field.
+malformed-input, or resource errors.  `class`, `lemmas` and `shiftinv`
+compute subgroups, which needs a group: they refuse a window whose table is
+inconsistent with exit 2, where `axioms` reports the witness.  Identical
+invocations produce byte-identical payloads; wall-clock timings, when
+present, live in a separate "timings" field.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def _load_window(args) -> WindowGroup:
         raise ValueError("--window LO HI is required with --example")
     lo, hi = args.window
     return derive_window(make_example(args.example, args.p), lo, hi)
+
+
+def _load_group(args) -> WindowGroup:
+    """The loaded window, refused unless overlap_violation passes: the
+    subgroup computations enumerate cosets, which presumes a group."""
+    wg = _load_window(args)
+    witness = zsystem.overlap_violation(wg)
+    if witness is not None:
+        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+    return wg
 
 
 def _parse_word(text: str) -> list:
@@ -160,12 +172,12 @@ def main(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         if args.command == "class":
-            wg = _load_window(args)
+            wg = _load_group(args)
             _emit({"class": analysis.nilpotency_class(wg, cap)}, pretty)
             return 0
 
         if args.command == "lemmas":
-            wg = _load_window(args)
+            wg = _load_group(args)
             t0 = time.perf_counter()
             report = analysis.lemma_checks(wg, cap, trials=args.trials, seed=args.seed)
             report["timings"] = {"seconds": time.perf_counter() - t0}
@@ -200,7 +212,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "shiftinv":
-            wg = _load_window(args)
+            wg = _load_group(args)
             a = wg.collect(_parse_word(args.a))
             b = wg.collect(_parse_word(args.b))
             sub_group, info = analysis.shift_invariant_closure(wg, a, b, cap)

@@ -8,14 +8,37 @@ coefficient; mixing values from contexts with different p is an error.
 from __future__ import annotations
 
 
+# the first thirteen primes; Miller-Rabin to all of them as bases decides
+# primality exactly below MILLER_RABIN_LIMIT, the least strong pseudoprime to
+# them all (Sorenson and Webster, Math. Comp. 86, 2017).  The first twelve
+# alone let 318665857834031151167461 = 399165290221 * 798330580441 through.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin; a modulus at or above
+    MILLER_RABIN_LIMIT, which these bases do not decide, raises ValueError."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"modulus {n} is too large to test for primality exactly")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -355,16 +355,18 @@ class UnitaryExample:
         if m.rows[1][2] != f.subs_neg_t():
             raise ValueError("inconsistent (1,2) and (2,3) entries")
         e = [0] * (hi - lo + 1)
-        even_part = LaurentMatrix.identity(self.fp, 3)
         for z in f.support():
             n = 2 * z
             if not lo <= n <= hi:
                 raise ValueError(f"even index {n} escapes window [{lo}, {hi}]")
             e[n - lo] = f.coeff(z)
+        # the inverse of the even part u(n1, e1) u(n2, e2) ... in ascending n,
+        # as ... u(n2, -e2) u(n1, -e1): u(n, -a) is the inverse of u(n, a)
+        even_inv = LaurentMatrix.identity(self.fp, 3)
         for n in range(lo, hi + 1):
             if n % 2 == 0 and e[n - lo]:
-                even_part = even_part * self.u(n, e[n - lo])
-        rem = even_part.inv() * m
+                even_inv = self.u(n, -e[n - lo]) * even_inv
+        rem = even_inv * m
         r = rem.rows
         if not (r[0][1].is_zero() and r[1][2].is_zero()):
             raise ValueError("even part does not divide off cleanly")

@@ -1,10 +1,14 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_collect_oracle import interior_tables
+
 from zsys.cli import main
+from zsys.zsystem import overlap_violation
 
 
 def run_cli(capsys, *args):
@@ -99,14 +103,32 @@ def test_lemmas_boundary_only_window_exit_code(capsys):
 
 
 def test_lemmas_fail_exit_code(tmp_path, capsys):
-    # unit-shift-invariant yet nonabelian table: the abelian criterion fails
-    bad = {"p": 2, "lo": 0, "hi": 4, "comm": {"0,2": {"1": 1}, "1,3": {"2": 1}, "2,4": {"3": 1}}}
+    # consistent, unit-shift-invariant yet nonabelian table (its pairs sit
+    # below the maximal distance): the abelian criterion fails
+    bad = {"p": 2, "lo": 0, "hi": 5, "comm": {"0,4": {"2": 1}, "1,5": {"3": 1}}}
     table = tmp_path / "bad.json"
     table.write_text(json.dumps(bad))
     code, out, _ = run_cli(capsys, "lemmas", "--table", str(table))
     assert code == 1
     report = json.loads(out)
     assert not report["checks"]["abelian_iff_unit_shift"]["pass"]
+
+
+def test_inconsistent_table_refused(tmp_path, capsys):
+    # the subgroup commands need a group: an inconsistent table exits 2 with
+    # the overlap witness, where axioms reports it with exit 1
+    bad = {"p": 2, "lo": 0, "hi": 4, "comm": {"0,2": {"1": 1}, "1,3": {"2": 1}, "2,4": {"3": 1}}}
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(bad))
+    source = ["--table", str(table)]
+    shiftinv = ["shiftinv", *source, "--a", "0:1", "--b", "1:1"]
+    for argv in (["class", *source], ["lemmas", *source], shiftinv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: table is inconsistent: triple at [3, 1, 0]\n", argv
+    code, out, _ = run_cli(capsys, "axioms", *source)
+    assert code == 1
+    assert json.loads(out)["checks"]["ZS2/ZS6"]["witness"]["indices"] == [3, 1, 0]
 
 
 def test_rgd_subcommand(capsys):
@@ -248,6 +270,46 @@ def test_class_table_never_raises(tmp_path, capsys, document):
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith(("error:", "resource error:"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wg=interior_tables(), data=st.data())
+def test_subgroup_commands_never_raise(tmp_path, capsys, wg, data):
+    # on strictly interior tables, mostly inconsistent, class, lemmas and
+    # shiftinv give an exit code and never a traceback; the cap keeps the
+    # consistent ones small
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(wg.to_json_dict()))
+    letter = st.builds("{}:{}".format, st.integers(wg.lo, wg.hi), st.integers(0, wg.p))
+    word = st.lists(letter, min_size=1, max_size=3).map(" ".join)
+    source = ["--table", str(table), "--cap", "3000"]
+    for argv in (
+        ["class", *source],
+        ["lemmas", *source, "--trials", "5"],
+        # "=" keeps a word with a negative index from reading as an option
+        ["shiftinv", *source, f"--a={data.draw(word)}", f"--b={data.draw(word)}"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith(("error:", "resource error:")), argv
+        if overlap_violation(wg) is not None:
+            assert code == 2 and err.startswith("error: table is inconsistent:"), argv
+
+
+def test_huge_prime_modulus_answers_quickly(tmp_path, capsys):
+    # 2^61 - 1 is prime; the primality test must not trial-divide up to it
+    table = tmp_path / "mersenne.json"
+    table.write_text(json.dumps({"p": 2**61 - 1, "lo": 0, "hi": 2}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "class", "--table", str(table))
+    assert time.perf_counter() - start < 2.0
+    assert code in (0, 2)
+    # a modulus past the exact range of the test is refused
+    table.write_text(json.dumps({"p": 10**25 + 13, "lo": 0, "hi": 2}))
+    code, out, err = run_cli(capsys, "class", "--table", str(table))
+    assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_unknown_subcommand_exit_2(capsys):

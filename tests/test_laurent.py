@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from zsys.laurent import Fp, LaurentPoly
+from zsys.laurent import MILLER_RABIN_LIMIT, Fp, LaurentPoly, is_prime
 
 
 def poly(p, pairs):
@@ -20,6 +20,28 @@ def test_fp_requires_prime():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(ValueError):
             Fp(bad)
+
+
+def trial_division(n):
+    if n < 2:
+        return False
+    return all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_large():
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**13 - 1) * (2**61 - 1))
+    # strong pseudoprime to every base up to 37, composite: base 41 decides it
+    assert not is_prime(399165290221 * 798330580441)
+    # the least strong pseudoprime to every base up to 41 is where the test
+    # stops being exact, so it and everything above it is refused
+    for n in (MILLER_RABIN_LIMIT, 10**30):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
 
 
 def test_fp_inverse():

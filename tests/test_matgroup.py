@@ -450,3 +450,15 @@ def test_non_unit_determinant_raises_on_every_call():
         for _ in range(3):
             with pytest.raises(ValueError, match="not a unit"):
                 bad.inv()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unitary_even_generator_inverse(p):
+    # normal_form inverts the even part as the product of the u(n, -e) in
+    # reverse order, which rests on this identity
+    ex = UnitaryExample(p)
+    identity = LaurentMatrix.identity(ex.fp, 3)
+    for n in range(-8, 9, 2):
+        for a in range(p):
+            assert ex.u(n, a) * ex.u(n, -a) == identity
+            assert ex.u(n, a).inv() == ex.u(n, -a)
