@@ -22,8 +22,6 @@ from .zsystem import (
 from .analysis import (
     CutoffResult,
     Subgroup,
-    commutator_subgroup,
-    derived_series,
     generate,
     lemma_checks,
     lower_central_series,

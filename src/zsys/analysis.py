@@ -1,5 +1,5 @@
-"""Group-theoretic analysis on window groups: subgroup calculus, lower central
-and derived series, nilpotency class, lower cutoff, the abelian criterion,
+"""Group-theoretic analysis on window groups: subgroup calculus, the lower
+central series and nilpotency class, lower cutoff, the abelian criterion,
 shift-invariant closures, lemma property checks, and the exhaustive search
 over shift-invariant commutation tables.
 
@@ -7,21 +7,25 @@ Subgroups are materialized element sets (windows at desk scale are small),
 enumerated by cosets in `zsystem.closure`, so every function here that forms
 a subgroup presumes a consistent table: the search forms them only for
 tables that pass the overlap test, and the CLI refuses the others.  Series
-terms are generated through normal closures of generator commutators,
-which agrees with the brute-force double-loop definition and is checked
-against it in the tests.
+terms are built from generators: X' is the normal closure of the table words
+(on a consistent table [x_j, x_i] = w(i, j)), and gamma_(k+1) the normal
+closure of the commutators of the generators of gamma_k with the window
+generators; the tests check both against series built from the elements.
 
 The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
 the boundary overlaps level by level while it backtracks), and spread every
-representative word over its translation orbit with `_propagate`.  One
-overlap memo serves a whole `search_tables` call: its candidate loop and
-every `extendable` and `_consistent_extensions` call under it, so a check
-that recurs in translate across candidates, certificates or backtracking
-nodes is collected once.  A direct `extendable` call owns a memo of its own.
-A backtracking node hands `overlap_violation` its propagated `Table`, which
-is built into a `WindowGroup` only when a check misses the memo.  The
-exhaustive closure stays in `zsystem.verify_zs_axioms`, the `axioms` report.
+representative word over its translation orbit with `_propagate`.  Every
+table they build is shift-invariant, so a check is fixed by p, its shape and
+the codes of the orbit words it meets, and one memo keyed by these
+(`_checks_pass`) keeps whether each check fails.  It serves a whole
+`search_tables` call: its candidate loop and every `extendable` and
+`_consistent_extensions` call under it, so a check that recurs in translate
+across candidates, certificates or backtracking nodes is collected once.  A
+direct `extendable` call owns a memo of its own.  A backtracking node builds
+its window only when a check misses the memo, widened from the table being
+extended so that it reuses that table's crossings.  The exhaustive closure
+stays in `zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
 from __future__ import annotations
@@ -110,30 +114,29 @@ def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
         gens |= new
 
 
-def commutator_subgroup(wg: WindowGroup, a: Subgroup, b: Subgroup, cap=None) -> Subgroup:
-    """Brute-force [A, B]: all commutators over the two element sets, closed."""
-    comms = {
-        wg.comm_vec(x, y) for x in a.elements for y in b.elements
-    } - {wg.identity_vec}
-    return generate(wg, sorted(comms), cap)
-
-
 def _commutator_normal_closure(wg, a_gens, b_gens, cap=None) -> Subgroup:
     """[<A>, <B>] as the normal closure of pairwise generator commutators;
-    valid when the result is normalized by the window group (always the case
-    for terms of the lower central and derived series)."""
+    valid when <A> is normal and B generates the window group (if N = <S>
+    is normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G), as
+    for the terms of the lower central series."""
     comms = {wg.comm_vec(x, y) for x in a_gens for y in b_gens} - {wg.identity_vec}
     return normal_closure(wg, sorted(comms), cap)
 
 
 def derived_subgroup(wg: WindowGroup, cap=None) -> Subgroup:
-    gens = [wg.gen_vec(i) for i in wg.indices()]
-    return _commutator_normal_closure(wg, gens, gens, cap)
+    """X' = [X, X]: the normal closure of the commutators of the window
+    generators, which on a consistent table are the table words themselves,
+    [x_j, x_i] = w(i, j)."""
+    indices = wg.indices()
+    words = [tuple(word.get(k, 0) for k in indices) for word in wg.comm.values()]
+    return normal_closure(wg, words, cap)
 
 
 def lower_central_series(wg: WindowGroup, cap=None) -> list:
     """[X, X'=gamma_2, gamma_3, ...] down to the trivial subgroup.  The first
-    term stands for the whole group and is not materialized."""
+    term stands for the whole group and is not materialized.  Each term
+    gamma_(k+1) = [gamma_k, X] is the normal closure of the commutators of
+    the generators of gamma_k with the window generators."""
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     series = [None]  # placeholder for the whole group
     current = derived_subgroup(wg, cap)
@@ -143,26 +146,7 @@ def lower_central_series(wg: WindowGroup, cap=None) -> list:
         steps += 1
         if steps > wg.width + 1:
             raise RuntimeError("lower central series does not descend; table is inconsistent")
-        current = _commutator_normal_closure(wg, current.sorted_elements(), window_gens, cap)
-        series.append(current)
-    return series
-
-
-def derived_series(wg: WindowGroup, cap=None) -> list:
-    series = [None]
-    current = derived_subgroup(wg, cap)
-    series.append(current)
-    steps = 0
-    while not current.is_trivial():
-        steps += 1
-        if steps > wg.width + 1:
-            raise RuntimeError("derived series does not descend; table is inconsistent")
-        gens = current.sorted_elements()
-        comms = {wg.comm_vec(x, y) for x in gens for y in gens} - {wg.identity_vec}
-        nxt = Subgroup(wg, sorted(comms), closure(wg, sorted(comms), cap))
-        if not nxt.elements < current.elements and not nxt.is_trivial():
-            raise RuntimeError("derived series does not descend; table is inconsistent")
-        current = nxt
+        current = _commutator_normal_closure(wg, current.generators, window_gens, cap)
         series.append(current)
     return series
 
@@ -267,8 +251,8 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     try:
         derived = derived_subgroup(wg, cap)
-        yx = _commutator_normal_closure(wg, derived.sorted_elements(), window_gens, cap)
-        yxx = _commutator_normal_closure(wg, yx.sorted_elements(), window_gens, cap)
+        yx = _commutator_normal_closure(wg, derived.generators, window_gens, cap)
+        yxx = _commutator_normal_closure(wg, yx.generators, window_gens, cap)
         ok = True
         witness = None
         dsorted = derived.sorted_elements()
@@ -298,7 +282,7 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
         for term in series[1:]:
             if term.is_trivial():
                 continue
-            image = _commutator_normal_closure(wg, term.sorted_elements(), window_gens, cap)
+            image = _commutator_normal_closure(wg, term.generators, window_gens, cap)
             if not (image.elements < term.elements):
                 ok = False
                 witness = {"term_order": term.order, "image_order": image.order}
@@ -355,6 +339,21 @@ def _word_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
     return tuple(words)
 
 
+def _code(word, start: int) -> str:
+    """The word of a pair that starts at `start`, as the orbit memo spells
+    it: its number of letters, then for each letter in ascending order its
+    position minus start and its exponent (in decimal, closed by a comma,
+    so that any modulus fits)."""
+    return chr(len(word)) + "".join(f"{chr(k - start)}{word[k]}," for k in sorted(word))
+
+
+@functools.lru_cache(maxsize=None)
+def _coded_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
+    """(word, its `_code`) for every word of `_word_choices(p, i, j,
+    support_bound)`, in its order."""
+    return tuple((word, _code(word, i)) for word in _word_choices(p, i, j, support_bound))
+
+
 def _free_reps(lo: int, hi: int) -> list:
     """Orbit representatives of pairs under index translation by 2, ordered by
     (distance, start); every in-window pair is a translate of exactly one."""
@@ -380,7 +379,72 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
     return table
 
 
-# overlap-memo entries (a short str key each) past which the search empties
+def _orbit_codes(wg: WindowGroup) -> list:
+    """codes[s][d]: the `_code` of the word of the pair (lo + s, lo + s + d),
+    for s in (0, 1) and every such pair at distance d >= 2 in the window;
+    the other entries are empty."""
+    codes = [[""] * wg.width for _ in range(2)]
+    for i0, j0 in _free_reps(wg.lo, wg.hi):
+        codes[i0 - wg.lo][j0 - i0] = _code(wg.comm.get((i0, j0), {}), i0)
+    return codes
+
+
+def _plan(lo: int, checks) -> tuple:
+    """The checks of a window starting at lo, grouped by what their memo
+    keys share: (s, n, ((check, chr(n) + chr(middle - i)), ...)) for the
+    checks whose lowest index i has parity s relative to lo and whose extreme
+    indices lie n apart (middle - i is 0 for a power check)."""
+    groups = {}
+    for check in checks:
+        i, n = check[-1], check[0] - check[-1]
+        middle = check[1] - i if len(check) == 3 else 0
+        groups.setdefault(((i - lo) & 1, n), []).append((check, chr(n) + chr(middle)))
+    return tuple((s, n, tuple(items)) for (s, n), items in groups.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _window_plan(lo: int, hi: int) -> tuple:
+    """Every overlap check of [lo, hi], planned by `_plan`."""
+    return _plan(lo, zsystem.overlap_checks(lo, hi))
+
+
+def _checks_pass(memo: dict, p: int, plan, codes, window) -> bool:
+    """Whether every planned check passes on the shift-invariant table whose
+    orbit words have the codes `codes` (as `_orbit_codes` lays them out).
+
+    On such a table the sub-table on [i, i + n] moved to 0 is fixed by the
+    words of the pairs (i, i + d), d = 2..n, and (i + 1, i + 1 + d),
+    d = 2..n-1, each relative to its pair's start: those of the orbits of
+    parity s and 1 - s.  With p, n and the middle index these fix the
+    outcome of a check (see `zsystem.overlap_violation`), so they are its key
+    in the memo, whose values say whether the check fails.  At a miss the
+    check is run by overlap_violation on window(), which is called at the
+    first miss only, and its outcome is kept."""
+    group = None
+    for s, n, items in plan:
+        span = f"{p}," + "".join(codes[s][2 : n + 1]) + "".join(codes[1 - s][2:n])
+        for check, head in items:
+            key = head + span
+            failed = memo.get(key)
+            if failed is None:
+                if group is None:
+                    group = window()
+                failed = memo[key] = zsystem.overlap_violation(group, [check]) is not None
+            if failed:
+                return False
+    return True
+
+
+def _consistent(wg: WindowGroup, memo: dict, codes=None) -> bool:
+    """Whether the strictly interior shift-invariant table passes the overlap
+    test, decided through the orbit memo; `codes` are its `_orbit_codes`,
+    computed when None."""
+    if codes is None:
+        codes = _orbit_codes(wg)
+    return _checks_pass(memo, wg.p, _window_plan(wg.lo, wg.hi), codes, lambda: wg)
+
+
+# orbit-memo entries (a short str key each) past which the search empties
 # its memo, between candidates and at backtracking nodes: deep searches and
 # deep certificates meet ever new sub-tables, and a cache that only grows
 # would hold them all
@@ -401,11 +465,13 @@ def search_tables(
 
     Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
     argument is checked before the first table is yielded; an extend_depth
-    below 1 would certify nothing and is refused.  The call owns one overlap
-    memo for its candidates and their certificates, emptied between
-    candidates and at the backtracking nodes of a certificate once it holds
-    more than MEMO_LIMIT entries; the memo is a cache, so no result depends
-    on it.
+    below 1 would certify nothing and is refused.  Each candidate is built
+    into its WindowGroup, and its consistency is decided through the orbit
+    memo (`_checks_pass`), from the codes of its representative words, which
+    are cached with the word choices.  The call owns one memo for its candidates
+    and their certificates, emptied between candidates and at the
+    backtracking nodes of a certificate once it holds more than MEMO_LIMIT
+    entries; the memo is a cache, so no result depends on it.
     """
     if extend_depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
@@ -416,12 +482,17 @@ def search_tables(
     if support_bound < 0:
         raise ValueError("support bound must be nonnegative")
     reps = _free_reps(lo, hi)
-    choice_lists = [_word_choices(p, i, j, support_bound) for i, j in reps]
+    slots = [(i - lo, j - i) for i, j in reps]
+    choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in reps]
     memo = {}
     for assignment in itertools.product(*choice_lists):
-        rep_words = dict(zip(reps, assignment))
+        codes = [[""] * (hi - lo + 1) for _ in range(2)]
+        rep_words = {}
+        for rep, (s, d), (word, code) in zip(reps, slots, assignment):
+            rep_words[rep] = word
+            codes[s][d] = code
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
-        if zsystem.overlap_violation(wg, memo=memo) is not None:
+        if not _consistent(wg, memo, codes):
             continue
         cls = nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth, memo)
@@ -433,8 +504,8 @@ def search_tables(
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
     one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused.  `memo` is an overlap memo of
-    `zsystem.overlap_violation` to share; without one the call owns its own."""
+    would certify nothing and is refused.  `memo` is an orbit memo of
+    `_checks_pass` to share; without one the call owns its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
     if memo is None:
@@ -445,37 +516,29 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -
     return False
 
 
-def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
-    """Yield consistent shift-invariant widenings of the table to
-    [lo-1, hi+1], via backtracking over the newly free orbit representatives
-    with incremental overlap pruning.  A node's WindowGroup is built only
-    when one of its checks misses the overlap memo (a fresh one without
-    `memo`), and at the leaves that are yielded.  A node empties the memo
-    first if it holds more than MEMO_LIMIT entries."""
-    p, lo, hi = wg.p, wg.lo, wg.hi
+@functools.lru_cache(maxsize=None)
+def _extension_plan(lo: int, hi: int) -> tuple:
+    """What a widening of [lo, hi] to [lo - 1, hi + 1] needs: the orbit
+    representatives of the wider window that meet [lo, hi], each with the
+    shift to its first translate there; the free ones, in `_free_reps`
+    order; and, per backtracking level, the planned overlaps with a boundary
+    index (interior ones hold when the table on [lo, hi] is consistent),
+    each at the first level where every word it may collect through is
+    fixed."""
     lo2, hi2 = lo - 1, hi + 1
-
-    # re-anchor every orbit that already meets the window on its widened
-    # representative; the orbits that do not are free
-    rep_words = {}
-    new_reps = []
+    anchored, new_reps = [], []
     for i0, j0 in _free_reps(lo2, hi2):
         shift = 2 if i0 < lo else 0
         if j0 + shift <= hi:
-            word = wg.comm.get((i0 + shift, j0 + shift), {})
-            rep_words[(i0, j0)] = {k - shift: e for k, e in word.items()}
+            anchored.append(((i0, j0), shift))
         else:
             new_reps.append((i0, j0))
-    choice_lists = [_word_choices(p, i, j, support_bound) for i, j in new_reps]
 
     def touches(rep, a, b):
         """Whether some translate of the representative lies inside [a, b]."""
         i0, j0 = rep
         return any(a <= i0 + s and j0 + s <= b for s in range(0, hi2 - j0 + 1, 2))
 
-    # overlaps with a boundary index (interior ones hold because the base
-    # table is consistent), each run at the first level where every word it
-    # may collect through is fixed
     levels = [[] for _ in range(len(new_reps) + 1)]
     for check in zsystem.overlap_checks(lo2, hi2):
         if check[-1] == lo2 or check[0] == hi2:
@@ -484,22 +547,69 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
                 default=-1,
             )
             levels[last + 1].append(check)
+    return tuple(anchored), tuple(new_reps), tuple(_plan(lo2, level) for level in levels)
 
+
+def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
+    """Yield consistent shift-invariant widenings of the table to
+    [lo-1, hi+1], via backtracking over the newly free orbit representatives
+    with incremental overlap pruning through the orbit memo (a fresh one
+    without `memo`).  A node empties the memo first if it holds more than
+    MEMO_LIMIT entries.
+
+    Every orbit that meets the window is anchored on the word of its first
+    translate there, and the table on [lo, hi] that these words spread to is
+    the base window: the table itself when it is shift-invariant, else a
+    window built from that restriction.  A node builds its window only when
+    one of its checks misses the memo, and at the leaves that are yielded;
+    it is made by the base window's `widened`, so it reuses the base
+    window's crossings."""
+    p, lo, hi = wg.p, wg.lo, wg.hi
+    lo2, hi2 = lo - 1, hi + 1
+    anchored, new_reps, levels = _extension_plan(lo, hi)
+
+    rep_words = {}
+    for (i0, j0), shift in anchored:
+        word = wg.comm.get((i0 + shift, j0 + shift))
+        if word:
+            rep_words[(i0, j0)] = {k - shift: e for k, e in word.items()}
+    # collection on the widenings would refuse such a word
+    if any(not i0 < k < j0 for (i0, j0), word in rep_words.items() for k in word):
+        raise ValueError("comm table is not strictly interior; collection undefined")
+    restriction = {
+        pair: word
+        for pair, word in _propagate(lo2, hi2, rep_words).items()
+        if lo <= pair[0] and pair[1] <= hi
+    }
+    base = wg if restriction == wg.comm else WindowGroup(p, lo, hi, restriction)
+    # the orbit starting at lo - 1 is anchored at lo + 1, the one at lo at lo
+    even, odd = _orbit_codes(base)
+    codes = [odd + ["", ""], even + ["", ""]]
+    choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in new_reps]
     if memo is None:
         memo = {}
 
     def rec(idx: int):
         if len(memo) > MEMO_LIMIT:
             memo.clear()
-        node = zsystem.Table(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
-        if zsystem.overlap_violation(node, levels[idx], memo) is not None:
+        built = []
+
+        def window():
+            if not built:
+                built.append(base.widened(_propagate(lo2, hi2, rep_words)))
+            return built[0]
+
+        if not _checks_pass(memo, p, levels[idx], codes, window):
             return
         if idx == len(new_reps):
-            yield WindowGroup(*node)
+            yield window()
             return
-        for word in choice_lists[idx]:
-            rep_words[new_reps[idx]] = word
+        rep = new_reps[idx]
+        s, d = rep[0] - lo2, rep[1] - rep[0]
+        for word, code in choice_lists[idx]:
+            rep_words[rep] = word
+            codes[s][d] = code
             yield from rec(idx + 1)
-        del rep_words[new_reps[idx]]
+        del rep_words[rep]
 
     yield from rec(0)

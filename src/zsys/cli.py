@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -24,6 +25,11 @@ from .matgroup import make_example
 from .zsystem import CapExceeded, WindowGroup, derive_window
 
 CAP_ENV = "ZSYS_CLOSURE_CAP"
+
+# options that take a word, and the start of a word whose first letter has a
+# negative index, which argparse would read as an option
+WORD_OPTIONS = ("--word", "--left", "--right", "--a", "--b")
+NEGATIVE_LETTER = re.compile(r"-\d+:")
 
 
 def _closure_cap(args) -> int:
@@ -77,6 +83,20 @@ def _load_group(args) -> WindowGroup:
     if witness is not None:
         raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
     return wg
+
+
+def _attach_words(argv: list) -> list:
+    """argv with each value that starts with a negative-index letter, such
+    as -1:1, attached to the word option before it as --word=-1:1, so that
+    argparse reads it as that option's value; every other argument is kept
+    as it is."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in WORD_OPTIONS and NEGATIVE_LETTER.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_word(text: str) -> list:
@@ -152,7 +172,7 @@ def main(argv=None) -> int:
     s.add_argument("--depth", type=int, default=1, help="extension depth to certify")
     s.add_argument("--cap", type=int, default=None)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_words(sys.argv[1:] if argv is None else list(argv)))
     pretty = args.output == "pretty"
 
     try:

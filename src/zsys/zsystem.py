@@ -12,7 +12,10 @@ collected, and otherwise crosses the letters above c, pushing back what
 x_l x_c = x_c x_l w(c, l) leaves of them.  A crossing changes only the
 letters above c, so each window remembers the result of every crossing it
 has made (the caching idea behind collection from the left: Vaughan-Lee,
-J. Symbolic Comput. 9, 1990).
+J. Symbolic Comput. 9, 1990).  A crossing involves only the words of the
+pairs between c and its highest letter, so a window widened by one index
+at each end (`widened`) takes the crossings that stay inside the window it
+widens from that window's memo.
 
 When no letter of any word is an endpoint of a pair, every word is central
 and a crossing leaves the letters above c in place: x_c^e then crosses in
@@ -25,17 +28,12 @@ the fold letters, so it is the one multiplication rule.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from .laurent import is_prime
 from .matgroup import commutator as mat_commutator
 
 NfStats = namedtuple("NfStats", ["start", "end", "width"])
-
-# a commutator table on [lo, hi] not yet built into its WindowGroup, which
-# WindowGroup(*table) builds; overlap_violation takes either
-Table = namedtuple("Table", ["p", "lo", "hi", "comm"])
 
 
 class CapExceeded(RuntimeError):
@@ -100,6 +98,9 @@ class WindowGroup:
         # (c, letters above c) -> the letters above c once one x_c crossed
         # them, emptied past CROSSING_LIMIT entries
         self._crossings = {}
+        # for a window made by `widened`: the window on [lo + 1, hi - 1]
+        # whose crossings this one shares
+        self._inner = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -203,7 +204,22 @@ class WindowGroup:
             vec[c] = (vec[c] + e) % p
 
     def _crossing(self, c: int, above: tuple) -> tuple:
-        """The letters above c once one x_c has moved left past `above`."""
+        """The letters above c once one x_c has moved left past `above`.
+
+        On a widened window a crossing of a letter at or above lo + 1 past
+        letters none of which is at hi stays inside the inner window, whose
+        table is the restriction: it is that window's crossing one position
+        down, read from and kept in the inner window's memo."""
+        inner = self._inner
+        if inner is not None and c and not above[-1]:
+            crossings = inner._crossings
+            if len(crossings) > CROSSING_LIMIT:
+                crossings.clear()
+            key = (c - 1, above[:-1])
+            got = crossings.get(key)
+            if got is None:
+                got = crossings[key] = inner._crossing(*key)
+            return got + (0,)
         cross = self._cross
         out = []
         for l, e in enumerate(above, c + 1):
@@ -273,6 +289,15 @@ class WindowGroup:
         if not support:
             return NfStats(math.inf, -math.inf, 0)
         return NfStats(support[0], support[-1], support[-1] - support[0] + 1)
+
+    def widened(self, comm) -> "WindowGroup":
+        """The window on [lo - 1, hi + 1] with the table `comm`, whose
+        restriction to [lo, hi] must be this window's table (the caller
+        checks it).  The widened window shares this window's crossings: a
+        crossing inside [lo, hi] collects through the restriction only."""
+        wider = WindowGroup(self.p, self.lo - 1, self.hi + 1, comm)
+        wider._inner = self
+        return wider
 
     # -- serialization -----------------------------------------------------
 
@@ -396,51 +421,23 @@ def overlap_checks(lo: int, hi: int):
                 yield (k, j, i)
 
 
-# witness kinds, numbered for the packed failures of overlap_violation's memo
-_KINDS = ("power_left", "power_right", "triple")
-
-
-def overlap_violation(wg, checks=None, memo=None):
+def overlap_violation(wg: WindowGroup, checks=None):
     """Complete consistency test for the presentation: collect both sides of
     every overlap of two relations (or of the given overlap_checks tuples
     only).  Returns None when consistent, else a witness for the first failing
     check.  Passing every check implies the collected normal forms are unique,
     hence the group order is exactly p^width.
 
-    `wg` is a WindowGroup, or a Table whose words are normalised as a
-    WindowGroup keeps them (exponents in 1..p-1, no empty word).  Until a
-    check misses the memo only p, lo, hi and comm are read, so a Table is
-    built into its WindowGroup at the first miss and never when the memo
-    answers every check.
-
-    `memo` is an optional dict, filled only by this function, that keeps the
-    outcome of every check it runs, so that a later call on the same table or
-    on another one skips the collection of any check it has seen in translate.
-    Its owner decides how far it is shared: the search owns one for all its
-    candidates and extension certificates; the `axioms` report passes none.
-    Soundness: a check with extreme indices i and k (k = j for the power
-    check on x_j x_i) collects words whose letters stay in [i, k], rewriting
-    only through the words of pairs inside [i, k], and collection commutes
-    with translating every index.  So its outcome is fixed by p, the check
-    minus i, and the sub-table on [i, k] moved to 0.  The key packs exactly
-    these into a str, one character per number: p, k - i, the middle index
-    minus i (0 for a power check), then (a - i, b - i, c - i, e) for every
-    letter x_c^e in the word of every pair (a, b) inside [i, k], in sorted
-    order.  A passed check is kept as None; a failed one as a str of its
-    kind's number in _KINDS and its two vectors restricted to [i, k], which is
-    rebuilt into the same witness, so every result is the same with or
-    without the memo.  A table that is not strictly interior skips the memo
-    (collection raises ValueError), and so does a modulus above
-    sys.maxunicode, which does not fit in a character."""
-    p, lo, hi, comm = wg.p, wg.lo, wg.hi, wg.comm
-    group = wg if isinstance(wg, WindowGroup) else None
+    A check with extreme indices i and k (k = j for the power check on
+    x_j x_i) collects words whose letters stay in [i, k], rewriting only
+    through the words of pairs inside [i, k], and collection commutes with
+    translating every index.  So its outcome is fixed by p, the check minus
+    i, and the sub-table on [i, k] moved to 0; the search keeps the outcomes
+    in a memo of its own on that ground (`analysis`), and this test keeps
+    none."""
+    p, lo, hi = wg.p, wg.lo, wg.hi
     if checks is None:
         checks = overlap_checks(lo, hi)
-    if memo is not None:
-        letters = sorted((a, b, c, e) for (a, b), word in comm.items() for c, e in word.items())
-        if p > sys.maxunicode or not all(a < c < b for a, b, c, _ in letters):
-            memo = None
-        spans = {}
 
     def letter(i, e=1):
         return (0,) * (i - lo) + (e,) + (0,) * (hi - i)
@@ -448,47 +445,20 @@ def overlap_violation(wg, checks=None, memo=None):
     products = {}
     for check in checks:
         k, j, i = check[0], check[-2], check[-1]
-        if memo is not None:
-            span = spans.get((i, k))
-            if span is None:
-                span = spans[(i, k)] = "".join(
-                    chr(a - i) + chr(b - i) + chr(c - i) + chr(e)
-                    for a, b, c, e in letters
-                    if i <= a and b <= k
-                )
-            key = chr(p) + chr(k - i) + chr(j - i if len(check) == 3 else 0) + span
-            if key in memo:
-                if memo[key] is None:
-                    continue
-                codes = [ord(c) for c in memo[key]]
-                n = k - i + 1
-                pad, tail = (0,) * (i - lo), (0,) * (hi - k)
-                return {
-                    "kind": _KINDS[codes[0]],
-                    "indices": list(check),
-                    "left": pad + tuple(codes[1 : n + 1]) + tail,
-                    "right": pad + tuple(codes[n + 1 :]) + tail,
-                }
-        if group is None:
-            group = WindowGroup(p, lo, hi, comm)
         ji = products.get((j, i))
         if ji is None:
-            ji = products[(j, i)] = group.mul_vec(letter(j), letter(i))
+            ji = products[(j, i)] = wg.mul_vec(letter(j), letter(i))
         if len(check) == 2:
             # x_j^(p-1) and x_i^(p-1) are single letters, hence in normal form
-            kind, left, right = "power_left", group.mul_vec(letter(j, p - 1), ji), letter(i)
+            kind, left, right = "power_left", wg.mul_vec(letter(j, p - 1), ji), letter(i)
             if left == right:
-                kind, left, right = "power_right", group.mul_vec(ji, letter(i, p - 1)), letter(j)
+                kind, left, right = "power_right", wg.mul_vec(ji, letter(i, p - 1)), letter(j)
         else:
             gk = letter(k)
             kind = "triple"
-            left = group.mul_vec(group.mul_vec(gk, letter(j)), letter(i))
-            right = group.mul_vec(gk, ji)
-        failed = left != right
-        if memo is not None:
-            local = left[i - lo : k - lo + 1] + right[i - lo : k - lo + 1]
-            memo[key] = chr(_KINDS.index(kind)) + "".join(map(chr, local)) if failed else None
-        if failed:
+            left = wg.mul_vec(wg.mul_vec(gk, letter(j)), letter(i))
+            right = wg.mul_vec(gk, ji)
+        if left != right:
             return {"kind": kind, "indices": list(check), "left": left, "right": right}
     return None
 

@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from test_series_oracle import commutator_subgroup, derived_series
 
 from zsys import analysis
 from zsys.analysis import (
@@ -10,8 +11,6 @@ from zsys.analysis import (
     _free_reps,
     _propagate,
     _word_choices,
-    commutator_subgroup,
-    derived_series,
     derived_subgroup,
     extendable,
     generate,
@@ -26,7 +25,13 @@ from zsys.analysis import (
     whole_group,
 )
 from zsys.matgroup import make_example
-from zsys.zsystem import WindowGroup, derive_window, overlap_violation, verify_zs_axioms
+from zsys.zsystem import (
+    WindowGroup,
+    derive_window,
+    overlap_violation,
+    shift_violation,
+    verify_zs_axioms,
+)
 
 
 def unitary(p, lo, hi):
@@ -384,6 +389,23 @@ def test_consistent_extensions_contain_derived_widening():
     assert any(ext == wider for ext in _consistent_extensions(wg, 1))
 
 
+def test_extensions_of_a_table_that_is_not_shift_invariant():
+    # each orbit is anchored on its first translate in the window, so the
+    # widenings are those of the table that these translates spread to; the
+    # crossings of its nodes come from a window of that table, not from the
+    # window of the table given
+    wg = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}})
+    spread = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}, (2, 4): {3: 2}})
+    assert overlap_violation(wg) is None and overlap_violation(spread) is None
+    assert shift_violation(wg, 2) is not None
+    found = list(_consistent_extensions(wg, 1))
+    assert found and set(found) == set(_consistent_extensions(spread, 1))
+    for wider in found:
+        inner = {(i, j): w for (i, j), w in wider.comm.items() if 0 <= i and j <= 4}
+        assert inner == spread.comm and overlap_violation(wider) is None
+    assert extendable(wg, 1, 2) == extendable(spread, 1, 2)
+
+
 def shift_invariant_windows(p, lo, hi, support_bound):
     """Every shift-invariant interior table on [lo, hi], in search order."""
     reps = _free_reps(lo, hi)
@@ -446,7 +468,7 @@ def test_word_choices_match_filter_definition():
 
 
 def test_shared_extension_memo_matches_fresh_calls():
-    # one overlap memo, warmed on the tables of another window and then
+    # one orbit memo, warmed on the tables of another window and then
     # shared by every certificate below, must not change any answer
     shared = {}
     for item in search_tables(3, -1, 2, 1):
@@ -476,9 +498,9 @@ def test_search_memo_limit_changes_nothing(monkeypatch):
 
 
 def test_overlap_memo_matches_plain_test():
-    # one memo shared by every sweep, each run forward and then reversed; the
-    # results, witnesses of rejected windows included, must be those of the
-    # test without a memo
+    # one orbit memo shared by every sweep, each run forward and then
+    # reversed; every decision must be that of the overlap test, which keeps
+    # no memo
     memo = {}
     sweeps = [(2, 0, 4, 1), (3, 0, 3, 1), (3, -1, 2, 1), (3, 0, 3, 2), (5, 0, 3, 1)]
     sizes = []
@@ -486,10 +508,10 @@ def test_overlap_memo_matches_plain_test():
         windows = list(shift_invariant_windows(p, lo, hi, support_bound))
         results = []
         for wg in windows + windows[::-1]:
-            result = overlap_violation(wg, memo=memo)
-            assert result == overlap_violation(wg), wg.comm
+            result = analysis._consistent(wg, memo)
+            assert result == (overlap_violation(wg) is None), wg.comm
             results.append(result)
-        assert None in results and any(results)
+        assert True in results and False in results
         sizes.append(len(memo))
     # the p=3 [-1, 2] windows are the [0, 3] ones moved down by one: the
     # memo already holds every outcome they need
@@ -500,7 +522,7 @@ def test_overlap_memo_matches_plain_test():
     with pytest.raises(ValueError) as plain:
         overlap_violation(bad)
     with pytest.raises(ValueError) as memoised:
-        overlap_violation(bad, memo=memo)
+        extendable(bad, 1, 1, memo=memo)
     assert str(memoised.value) == str(plain.value)
 
 

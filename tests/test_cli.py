@@ -287,8 +287,7 @@ def test_subgroup_commands_never_raise(tmp_path, capsys, wg, data):
     for argv in (
         ["class", *source],
         ["lemmas", *source, "--trials", "5"],
-        # "=" keeps a word with a negative index from reading as an option
-        ["shiftinv", *source, f"--a={data.draw(word)}", f"--b={data.draw(word)}"],
+        ["shiftinv", *source, "--a", data.draw(word), "--b", data.draw(word)],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2), argv
@@ -310,6 +309,37 @@ def test_huge_prime_modulus_answers_quickly(tmp_path, capsys):
     table.write_text(json.dumps({"p": 10**25 + 13, "lo": 0, "hi": 2}))
     code, out, err = run_cli(capsys, "class", "--table", str(table))
     assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_negative_index_word_is_an_option_value(capsys):
+    # a one-letter word whose index is negative reads as the value of each
+    # word option, as it does when written with "="
+    source = ["--example", "unitary", "--p", "3", "--window", "-2", "2"]
+    cases = [
+        ("nf", [("--word", "-1:1")]),
+        ("comm", [("--left", "-2:1"), ("--right", "0:1")]),
+        ("comm", [("--left", "0:1"), ("--right", "-2:2")]),
+        ("shiftinv", [("--a", "-2:1"), ("--b", "-1:1")]),
+    ]
+    for command, options in cases:
+        spaced = [part for option in options for part in option]
+        joined = [f"{option}={value}" for option, value in options]
+        code, out, err = run_cli(capsys, command, *source, *spaced)
+        assert (code, err) == (0, ""), (command, options)
+        assert (code, out, err) == run_cli(capsys, command, *source, *joined)
+    # the word option may come before the others, and a multi-letter word
+    # is read as before
+    code, out, _ = run_cli(capsys, "nf", "--word", "-1:1", *source)
+    assert code == 0 and json.loads(out)["e"] == [0, 1, 0, 0, 0]
+    code, out, _ = run_cli(capsys, "nf", *source, "--word", "-1:1 -2:1")
+    assert code == 0
+    # a word option without a value, or with an option after it, is still a
+    # usage error
+    for argv in (["nf", *source, "--word"], ["nf", "--word", *source]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--word: expected one argument" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_2(capsys):
