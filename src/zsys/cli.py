@@ -85,17 +85,35 @@ def _load_group(args) -> WindowGroup:
     return wg
 
 
-def _attach_words(argv: list) -> list:
+def _resolve(arg: str, options: list):
+    """The option that argparse reads arg as: arg itself, or the one option
+    that arg is a prefix of; None when arg names no option or several."""
+    if arg in options:
+        return arg
+    if not arg.startswith("--"):
+        return None
+    matches = [option for option in options if option.startswith(arg)]
+    return matches[0] if len(matches) == 1 else None
+
+
+def _attach_words(argv: list, commands: dict) -> list:
     """argv with each value that starts with a negative-index letter, such
     as -1:1, attached to the word option before it as --word=-1:1, so that
-    argparse reads it as that option's value; every other argument is kept
-    as it is."""
+    argparse reads it as that option's value; a word option may be written
+    as any prefix that names it alone among the options of its subcommand,
+    a parser in commands.  Every other argument is kept as it is."""
     out = []
+    options = None
     for arg in argv:
-        if out and out[-1] in WORD_OPTIONS and NEGATIVE_LETTER.match(arg):
+        if options is None and arg in commands:
+            options = [o for o in commands[arg]._option_string_actions if o.startswith("--")]
+        elif (
+            options and out and NEGATIVE_LETTER.match(arg)
+            and _resolve(out[-1], options) in WORD_OPTIONS
+        ):
             out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
+            continue
+        out.append(arg)
     return out
 
 
@@ -172,7 +190,8 @@ def main(argv=None) -> int:
     s.add_argument("--depth", type=int, default=1, help="extension depth to certify")
     s.add_argument("--cap", type=int, default=None)
 
-    args = parser.parse_args(_attach_words(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_words(argv, sub.choices))
     pretty = args.output == "pretty"
 
     try:

@@ -68,34 +68,66 @@ class LaurentMatrix:
         return [[e.to_pairs() for e in row] for row in self.rows]
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Schoolbook product that skips every k whose entry a[i][k] or b[k][j]
-        is zero; the entries of the generators are mostly zero.  Each term
-        product comes reduced from mul_terms, so a sum of several is reduced
-        once at the end."""
+        """Row-by-row product over the nonzero entries of both factors; the
+        entries of the generators are mostly 0, 1 or a monomial.
+
+        Row i of the product is the sum over k of a[i][k] times row k of b.
+        A term a[i][k] * b[k][j] with a factor 1 is the other factor's term
+        map itself, shared rather than copied; with a monomial factor it is
+        the other factor shifted and scaled; only two entries of several
+        terms each are convolved by mul_terms.  The first term of a sum is
+        copied before the others are added to it, so that no shared map
+        changes, and the sum is reduced once at the end.  Every zero entry of
+        the product is one shared zero polynomial."""
         if self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         fp = self.fp
         p = fp.p
-        cols = list(zip(*[[e.terms for e in row] for row in other.rows]))
+        n = self.n
+        nonzero = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in other.rows]
+        zero = LaurentPoly._reduced(fp, {})
         out = []
         for row in self.rows:
-            left = [e.terms for e in row]
+            acc = [None] * n
+            summed = [False] * n
+            for x, targets in zip(row, nonzero):
+                x = x.terms
+                if not x or not targets:
+                    continue
+                unit = mono = False
+                if len(x) == 1:
+                    ((zx, cx),) = x.items()
+                    unit = zx == 0 and cx == 1
+                    mono = not unit
+                for j, y in targets:
+                    if unit:
+                        part = y
+                    elif mono:
+                        part = {zx + z: cx * c % p for z, c in y.items()}
+                    elif len(y) == 1:
+                        ((zy, cy),) = y.items()
+                        if zy == 0 and cy == 1:
+                            part = x
+                        else:
+                            part = {z + zy: c * cy % p for z, c in x.items()}
+                    else:
+                        part = mul_terms(x, y, p)
+                    terms = acc[j]
+                    if terms is None:
+                        acc[j] = part
+                        continue
+                    if not summed[j]:
+                        terms = acc[j] = dict(terms)
+                        summed[j] = True
+                    for z, c in part.items():
+                        terms[z] = terms.get(z, 0) + c
             out_row = []
-            for col in cols:
-                parts = [mul_terms(x, y, p) for x, y in zip(left, col) if x and y]
-                if not parts:
-                    terms = {}
-                elif len(parts) == 1:
-                    terms = parts[0]
-                else:
-                    acc = parts[0]
-                    for part in parts[1:]:
-                        for z, c in part.items():
-                            acc[z] = acc.get(z, 0) + c
-                    terms = {z: r for z, c in acc.items() if (r := c % p)}
-                out_row.append(LaurentPoly._reduced(fp, terms))
+            for terms, reduce in zip(acc, summed):
+                if reduce:
+                    terms = {z: r for z, c in terms.items() if (r := c % p)}
+                out_row.append(LaurentPoly._reduced(fp, terms) if terms else zero)
             out.append(tuple(out_row))
         return LaurentMatrix._trusted(fp, tuple(out))
 
@@ -140,13 +172,13 @@ class LaurentMatrix:
             adj = [[cof[j][i] for j in range(3)] for i in range(3)]
         if unit is not None:
             adj = [[e * unit for e in row] for row in adj]
-        inverse = LaurentMatrix(self.fp, adj)
+        inverse = LaurentMatrix._trusted(self.fp, tuple(map(tuple, adj)))
         inverse._inv = self
         self._inv = inverse
         return inverse
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(self.fp, list(zip(*self.rows)))
+        return LaurentMatrix._trusted(self.fp, tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         for i, row in enumerate(self.rows):
@@ -199,9 +231,9 @@ class StandardExample:
         one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
         if root.eps == 1:
             entry = LaurentPoly.monomial(fp, lam, root.z)
-            return LaurentMatrix(fp, [[one, entry], [zero, one]])
+            return LaurentMatrix._trusted(fp, ((one, entry), (zero, one)))
         entry = LaurentPoly.monomial(fp, lam, -root.z)
-        return LaurentMatrix(fp, [[one, zero], [entry, one]])
+        return LaurentMatrix._trusted(fp, ((one, zero), (entry, one)))
 
     def h(self, lam: int) -> LaurentMatrix:
         if lam % self.p == 0:
@@ -302,10 +334,11 @@ class UnitaryExample:
             a12 = LaurentPoly.monomial(fp, -lam, z)
             a23 = LaurentPoly.monomial(fp, lam if z % 2 == 0 else -lam, z)
             a13 = LaurentPoly.monomial(fp, sgn * lam * lam * self._half, 2 * z)
-            return LaurentMatrix(fp, [[one, a12, a13], [zero, one, a23], [zero, zero, one]])
+            rows = ((one, a12, a13), (zero, one, a23), (zero, zero, one))
+            return LaurentMatrix._trusted(fp, rows)
         z = (n - 1) // 2
         a13 = LaurentPoly.monomial(fp, lam if z % 2 == 0 else -lam, n)
-        return LaurentMatrix(fp, [[one, zero, a13], [zero, one, zero], [zero, zero, one]])
+        return LaurentMatrix._trusted(fp, ((one, zero, a13), (zero, one, zero), (zero, zero, one)))
 
     def root_generator(self, root: Root, lam: int = 1) -> LaurentMatrix:
         check_root(root)
@@ -345,7 +378,9 @@ class UnitaryExample:
         """Two-phase read-off.  The even part is visible in the (1,2) entry -f(t)
         (the (2,3) entry must equal f(-t)); dividing it off leaves a matrix
         supported in the corner, whose coefficient at t^(2z+1) times (-1)^z is
-        the exponent of the odd generator 2z + 1."""
+        the exponent of the odd generator 2z + 1.  The even part is divided
+        off by one product per even letter, starting from m itself, so a
+        matrix with no even letter costs no product."""
         if lo > hi:
             if m.is_identity():
                 return ()
@@ -360,13 +395,13 @@ class UnitaryExample:
             if not lo <= n <= hi:
                 raise ValueError(f"even index {n} escapes window [{lo}, {hi}]")
             e[n - lo] = f.coeff(z)
-        # the inverse of the even part u(n1, e1) u(n2, e2) ... in ascending n,
-        # as ... u(n2, -e2) u(n1, -e1): u(n, -a) is the inverse of u(n, a)
-        even_inv = LaurentMatrix.identity(self.fp, 3)
+        # m is the even part u(n1, e1) u(n2, e2) ... in ascending n times the
+        # odd part, so the even letters come off on the left in ascending n:
+        # u(n, -a) is the inverse of u(n, a)
+        rem = m
         for n in range(lo, hi + 1):
             if n % 2 == 0 and e[n - lo]:
-                even_inv = self.u(n, -e[n - lo]) * even_inv
-        rem = even_inv * m
+                rem = self.u(n, -e[n - lo]) * rem
         r = rem.rows
         if not (r[0][1].is_zero() and r[1][2].is_zero()):
             raise ValueError("even part does not divide off cleanly")

@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from .matgroup import StandardExample, commutator
 from .rootsystem import Root, alpha, negate, reflect
+from .zsystem import CapExceeded
+
+# RGD2 commutators past which rgd_check refuses to start: it forms and reads
+# off one matrix commutator for each, K(2K+1) * 2 * (p-1)^2 in all
+RGD2_BUDGET = 10**6
 
 
 def _range_roots(K: int):
@@ -22,20 +27,34 @@ def _range_roots(K: int):
             yield Root(z, eps)
 
 
+def _generators(example, K: int) -> dict:
+    """The root-group generator of each root in [-K, K] and each parameter
+    1, ..., p-1, keyed by (root, parameter)."""
+    return {
+        (root, lam): example.root_generator(root, lam)
+        for root in _range_roots(K)
+        for lam in range(1, example.p)
+    }
+
+
 def rgd_check(example, K: int) -> dict:
-    """Axiom report over the root range [-K, K]."""
+    """Axiom report over the root range [-K, K].  A range and modulus whose
+    RGD2 check would form more than RGD2_BUDGET commutators raise
+    CapExceeded before any matrix is built."""
     if K < 1:
         raise ValueError("root range K must be at least 1")
     p = example.p
+    commutators = K * (2 * K + 1) * 2 * (p - 1) ** 2
+    if commutators > RGD2_BUDGET:
+        raise CapExceeded(
+            f"RGD2 over [-{K}, {K}] at p={p} needs {commutators} commutators, "
+            f"past the budget of {RGD2_BUDGET}"
+        )
     units = range(1, p)
     checks = {}
     # every root-group element and torus element the checks use, built once so
     # that each is inverted at most once
-    gen = {
-        (root, lam): example.root_generator(root, lam)
-        for root in _range_roots(K)
-        for lam in units
-    }
+    gen = _generators(example, K)
     torus = {lam: example.h(lam) for lam in units}
 
     witness = None
@@ -86,7 +105,7 @@ def rgd_check(example, K: int) -> dict:
         rgd3_witness = None
         for i in (0, 1):
             for lam in units:
-                _, rep = rgd3_m_map(example, i, lam, K)
+                _, rep = rgd3_m_map(example, i, lam, K, gen)
                 if not rep["pass"]:
                     rgd3_pass = False
                     rgd3_witness = {"i": i, "lam": lam, "report": rep}
@@ -136,11 +155,13 @@ def rgd_check(example, K: int) -> dict:
     }
 
 
-def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
+def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int, gen: dict | None = None):
     """Build the reflection element m = v u v with u the simple-root generator
     of parameter lam and v the opposite-root generator of parameter -1/lam;
     verify that conjugation by m permutes root groups exactly as the ladder
-    reflection, and that quotients of two such elements land in the torus."""
+    reflection, and that quotients of two such elements land in the torus.
+    The generators come from gen, a table over [-K, K] as _generators builds
+    it, which is built here when it is not given."""
     if not isinstance(example, StandardExample):
         raise ValueError("reflection elements are implemented for the standard example only")
     if i not in (0, 1):
@@ -148,9 +169,12 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
     p = example.p
     if lam % p == 0:
         raise ValueError("reflection parameter must be nonzero")
+    if gen is None:
+        # the simple roots sit at z = 0 and 1, inside the table for any K
+        gen = _generators(example, max(K, 1))
     a = alpha(i)
-    u = example.root_generator(a, lam)
-    v = example.root_generator(negate(a), (-example.fp.inv(lam)) % p)
+    u = gen[a, lam % p]
+    v = gen[negate(a), (-example.fp.inv(lam)) % p]
     m = v * u * v
     m_inv = m.inv()
 
@@ -158,8 +182,7 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
     action_witness = None
     for root in _range_roots(K):
         for mu in range(1, p):
-            g = example.root_generator(root, mu)
-            image = m * g * m_inv
+            image = m * gen[root, mu] * m_inv
             matched = example.root_of(image)
             if matched is None or matched[0] != reflect(i, root):
                 action_ok = False
@@ -176,9 +199,8 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int):
     torus_ok = True
     torus_witness = None
     for lam2 in range(1, p):
-        u2 = example.root_generator(a, lam2)
-        v2 = example.root_generator(negate(a), (-example.fp.inv(lam2)) % p)
-        m2 = v2 * u2 * v2
+        v2 = gen[negate(a), (-example.fp.inv(lam2)) % p]
+        m2 = v2 * gen[a, lam2] * v2
         if not example.in_torus(m_inv * m2):
             torus_ok = False
             torus_witness = {"lam": lam, "lam2": lam2}

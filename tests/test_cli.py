@@ -342,6 +342,28 @@ def test_negative_index_word_is_an_option_value(capsys):
         assert "--word: expected one argument" in capsys.readouterr().err
 
 
+def test_abbreviated_word_option_takes_a_negative_index_value(capsys):
+    # argparse reads a prefix that names one option alone as that option, so
+    # a negative-index word after it is that option's value as well
+    source = ["--example", "unitary", "--p", "3", "--window", "-2", "2"]
+    cases = [
+        ("nf", [("--wor", "-1:1")], ["--word=-1:1"]),
+        ("nf", [("--wo", "-2:1")], ["--word=-2:1"]),
+        ("comm", [("--lef", "-2:1"), ("--rig", "0:1")], ["--left=-2:1", "--right=0:1"]),
+        ("comm", [("--lef", "0:1"), ("--rig", "-2:2")], ["--left=0:1", "--right=-2:2"]),
+    ]
+    for command, options, joined in cases:
+        spaced = [part for option in options for part in option]
+        code, out, err = run_cli(capsys, command, *source, *spaced)
+        assert (code, err) == (0, ""), (command, options)
+        assert (code, out, err) == run_cli(capsys, command, *source, *joined)
+    # a prefix of two options of the subcommand stays ambiguous
+    with pytest.raises(SystemExit) as exit_info:
+        main(["nf", *source, "--w", "-1:1"])
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --w" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -357,6 +379,15 @@ def test_cap_exceeded_exit_2(capsys):
     code, out, err = run_cli(capsys, "search", "--p", "3", "--window", "0", "4", "--cap", "3")
     assert (code, out) == (2, "")
     assert "resource" in err
+
+
+def test_rgd_past_its_budget_exits_2_before_building(capsys):
+    # K(2K+1) * 2 * (p-1)^2 = 6 * 10^12 commutators at p = 1000003, K = 1
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "rgd", "--example", "standard", "--p", "1000003", "--K", "1")
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (2, "")
+    assert "resource error" in err and "budget" in err
 
 
 def test_unitary_p2_rejected(capsys):

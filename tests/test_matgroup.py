@@ -377,22 +377,36 @@ def schoolbook_mul(a, b):
 
 @st.composite
 def sparse_entries(draw, fp):
-    """A Laurent polynomial with up to three terms and exponents in [-3, 3];
-    zero half the time."""
-    if draw(st.booleans()):
+    """A Laurent polynomial with exponents in [-3, 3]: zero, the constant 1
+    or a monomial, each a quarter of the time, else up to three terms; the
+    product treats the first three apart."""
+    kind = draw(st.sampled_from(("zero", "one", "monomial", "terms")))
+    if kind == "zero":
         return LaurentPoly.zero(fp)
+    if kind == "one":
+        return LaurentPoly.one(fp)
+    if kind == "monomial":
+        return LaurentPoly.monomial(fp, draw(st.integers(1, fp.p - 1)), draw(st.integers(-3, 3)))
     terms = draw(st.dictionaries(st.integers(-3, 3), st.integers(1, fp.p - 1), max_size=3))
     return LaurentPoly(fp, terms)
 
 
 @st.composite
 def matrix_pairs(draw):
-    """Two random sparse matrices of one size over one F_p."""
+    """Two random sparse matrices of one size over one F_p, each with some
+    whole rows and columns zero."""
     fp = Fp(draw(st.sampled_from((2, 3, 5, 7))))
     n = draw(st.sampled_from((2, 3)))
+    zero = LaurentPoly.zero(fp)
 
     def matrix():
-        return LaurentMatrix(fp, [[draw(sparse_entries(fp)) for _ in range(n)] for _ in range(n)])
+        blank_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        blank_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        return LaurentMatrix(fp, [
+            [zero if i in blank_rows or j in blank_cols else draw(sparse_entries(fp))
+             for j in range(n)]
+            for i in range(n)
+        ])
 
     return matrix(), matrix()
 
@@ -419,12 +433,29 @@ def invertible_matrices(draw):
     return triangle(True) * triangle(False) * LaurentMatrix.diagonal(fp, units)
 
 
+def stored_terms(m):
+    """Every entry's term map, copied."""
+    return [[dict(e.terms) for e in row] for row in m.rows]
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(pair=matrix_pairs())
 def test_product_matches_schoolbook(pair):
     a, b = pair
-    assert a * b == schoolbook_mul(a, b)
-    assert b * a == schoolbook_mul(b, a)
+    before = stored_terms(a), stored_terms(b)
+    ab, ba = a * b, b * a
+    assert ab == schoolbook_mul(a, b)
+    assert ba == schoolbook_mul(b, a)
+    # a product by a unit entry shares the other entry's term map, so no
+    # later product may add into it
+    product_terms = stored_terms(ab)
+    assert ab * a * ab * b == schoolbook_mul(schoolbook_mul(schoolbook_mul(ab, a), ab), b)
+    assert (stored_terms(a), stored_terms(b)) == before
+    assert stored_terms(ab) == product_terms
+    for m in (ab, ba):
+        for row in m.rows:
+            for e in row:
+                assert all(0 < c < m.fp.p for c in e.terms.values())
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -454,8 +485,8 @@ def test_non_unit_determinant_raises_on_every_call():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_unitary_even_generator_inverse(p):
-    # normal_form inverts the even part as the product of the u(n, -e) in
-    # reverse order, which rests on this identity
+    # normal_form divides the even part off m by multiplying m on the left
+    # by u(n, -e) for ascending n, which rests on this identity
     ex = UnitaryExample(p)
     identity = LaurentMatrix.identity(ex.fp, 3)
     for n in range(-8, 9, 2):

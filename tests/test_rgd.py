@@ -6,8 +6,10 @@ import pytest
 
 from zsys.cli import main as cli_main
 from zsys.matgroup import StandardExample, UnitaryExample, make_example
+from zsys import rgd
 from zsys.rgd import rgd3_m_map, rgd_check
 from zsys.rootsystem import Root, reflect
+from zsys.zsystem import CapExceeded
 
 
 @pytest.mark.parametrize("tag,p", [("standard", 3), ("standard", 5), ("unitary", 3), ("unitary", 5)])
@@ -99,6 +101,32 @@ def test_rgd6_torus_scaling():
 def test_rgd_check_validates_K():
     with pytest.raises(ValueError):
         rgd_check(make_example("standard", 3), 0)
+
+
+def test_rgd_budget_bounds_the_rgd2_commutators(monkeypatch):
+    # the benchmark's largest call forms K(2K+1) * 2 * (p-1)^2 = 2592
+    # commutators, well inside the budget, and passes at exactly that budget
+    assert 4 * 9 * 2 * 6**2 == 2592 <= rgd.RGD2_BUDGET
+    monkeypatch.setattr(rgd, "RGD2_BUDGET", 2592)
+    assert rgd_check(make_example("standard", 7), 4)["pass"]
+    monkeypatch.setattr(rgd, "RGD2_BUDGET", 2591)
+    with pytest.raises(CapExceeded, match="2592 commutators"):
+        rgd_check(make_example("unitary", 7), 4)
+    monkeypatch.undo()
+    with pytest.raises(CapExceeded):
+        rgd_check(make_example("standard", 419), 1)
+
+
+def test_rgd3_with_and_without_the_generator_table():
+    ex = StandardExample(5)
+    table = rgd._generators(ex, 3)
+    for i in (0, 1):
+        for lam in range(1, 5):
+            m, report = rgd3_m_map(ex, i, lam, 3)
+            assert (m, report) == rgd3_m_map(ex, i, lam, 3, table)
+            assert report["pass"]
+    # a range that leaves out a simple root still finds it
+    assert rgd3_m_map(ex, 1, 2, 0)[1]["pass"]
 
 
 def test_rgd2_agrees_with_derived_window_table():
