@@ -12,7 +12,6 @@ from .matgroup import (
 from .rootsystem import Root, alpha, is_positive, negate, reflect
 from .zsystem import (
     CapExceeded,
-    NfStats,
     WindowGroup,
     closure,
     derive_window,
@@ -20,7 +19,6 @@ from .zsystem import (
     verify_zs_axioms,
 )
 from .analysis import (
-    CutoffResult,
     Subgroup,
     generate,
     lemma_checks,

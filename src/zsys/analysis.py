@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 from . import zsystem
 from .matgroup import commutator as mat_commutator
-from .zsystem import CapExceeded, WindowGroup, closure, shift_violation
+from .zsystem import CapExceeded, WindowGroup, closure, report_entry, shift_violation
 
 # not called here since search decides consistency with overlap_violation;
 # kept as a module name because the benchmark's layer tracer patches it
@@ -65,12 +65,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
-
-    def __lt__(self, other: "Subgroup") -> bool:
-        return self.elements < other.elements
-
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.elements == other.elements
 
@@ -89,10 +83,6 @@ def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     enumeration, which presumes a consistent table)."""
     gens = [tuple(v) for v in gen_vecs]
     return Subgroup(wg, gens, closure(wg, gens, cap))
-
-
-def whole_group(wg: WindowGroup, cap=None) -> Subgroup:
-    return generate(wg, [wg.gen_vec(i) for i in wg.indices()], cap)
 
 
 def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
@@ -114,15 +104,6 @@ def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
         gens |= new
 
 
-def _commutator_normal_closure(wg, a_gens, b_gens, cap=None) -> Subgroup:
-    """[<A>, <B>] as the normal closure of pairwise generator commutators;
-    valid when <A> is normal and B generates the window group (if N = <S>
-    is normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G), as
-    for the terms of the lower central series."""
-    comms = {wg.comm_vec(x, y) for x in a_gens for y in b_gens} - {wg.identity_vec}
-    return normal_closure(wg, sorted(comms), cap)
-
-
 def derived_subgroup(wg: WindowGroup, cap=None) -> Subgroup:
     """X' = [X, X]: the normal closure of the commutators of the window
     generators, which on a consistent table are the table words themselves,
@@ -136,18 +117,15 @@ def lower_central_series(wg: WindowGroup, cap=None) -> list:
     """[X, X'=gamma_2, gamma_3, ...] down to the trivial subgroup.  The first
     term stands for the whole group and is not materialized.  Each term
     gamma_(k+1) = [gamma_k, X] is the normal closure of the commutators of
-    the generators of gamma_k with the window generators."""
+    the generators of gamma_k with the window generators: if N = <S> is
+    normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G."""
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
-    series = [None]  # placeholder for the whole group
-    current = derived_subgroup(wg, cap)
-    series.append(current)
-    steps = 0
-    while not current.is_trivial():
-        steps += 1
-        if steps > wg.width + 1:
+    series = [None, derived_subgroup(wg, cap)]  # None for the whole group
+    while not series[-1].is_trivial():
+        if len(series) > wg.width + 2:
             raise RuntimeError("lower central series does not descend; table is inconsistent")
-        current = _commutator_normal_closure(wg, current.generators, window_gens, cap)
-        series.append(current)
+        comms = {wg.comm_vec(y, x) for y in series[-1].generators for x in window_gens}
+        series.append(normal_closure(wg, sorted(comms - {wg.identity_vec}), cap))
     return series
 
 
@@ -156,22 +134,35 @@ def nilpotency_class(wg: WindowGroup, cap=None) -> int:
     return len(lower_central_series(wg, cap)) - 1
 
 
+# matrix commutators past which lower_cutoff refuses to scan a matrix
+# example: it forms two for each distance up to the bound, about 0.1 ms each
+# on the standard family
+CUTOFF_BUDGET = 10**4
+
+
 def lower_cutoff(target, bound: int) -> CutoffResult:
     """Least distance |m - n| with a nontrivial commutator, scanned in
     increasing distance; None value means abelian within the bound.
 
-    For a WindowGroup the comm table is scanned.  For a matrix example the
-    commutator [u_n, u_{n+d}] is computed directly for n in {0, 1}, which
-    covers all pairs by shift invariance.
+    For a WindowGroup the comm table is scanned up to the bound or hi - lo,
+    past which no pair lies.  For a matrix example the commutator
+    [u_n, u_{n+d}] is computed directly for n in {0, 1}, which covers all
+    pairs by shift invariance; a bound that would form more than
+    CUTOFF_BUDGET commutators raises CapExceeded before the first.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if isinstance(target, WindowGroup):
-        for d in range(1, bound + 1):
+        for d in range(1, min(bound, target.hi - target.lo) + 1):
             for i in range(target.lo, target.hi + 1 - d):
                 if target.comm.get((i, i + d)):
                     return CutoffResult(d, (i, i + d))
         return CutoffResult(None, None)
+    if 2 * bound > CUTOFF_BUDGET:
+        raise CapExceeded(
+            f"cutoff up to distance {bound} needs {2 * bound} commutators, "
+            f"past the budget of {CUTOFF_BUDGET}"
+        )
     for d in range(1, bound + 1):
         for n in (0, 1):
             c = mat_commutator(target.u(n, 1), target.u(n + d, 1))
@@ -218,6 +209,11 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     commutation modulo the second lower-central term, strict shrinking of
     [V, X] inside each series term, and the abelian criterion.
 
+    The two commutator checks read every subgroup they use from one
+    `lower_central_series`: bilinearity holds modulo gamma_4 = [X', X, X],
+    and the image [gamma_k, X] of each term is the next term.  A series that
+    does not descend puts its error in both entries.
+
     The abelian criterion passes when abelian == unit-shift-invariant, or when
     every noncommuting pair lies at the maximal distance hi - lo (the lower
     cutoff is hi - lo).  There the unit-shift predicate is vacuously true and
@@ -233,71 +229,49 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     entry = {"pass": True, "cutoff": cut.value}
     if cut.value is not None:
         d = cut.value
-        even_hit = [
-            (i, i + d)
-            for i in range(wg.lo, wg.hi + 1 - d)
-            if i % 2 == 0 and wg.comm.get((i, i + d))
-        ]
-        odd_hit = [
-            (i, i + d)
-            for i in range(wg.lo, wg.hi + 1 - d)
-            if i % 2 == 1 and wg.comm.get((i, i + d))
-        ]
+        hits = [(i, i + d) for i in range(wg.lo, wg.hi + 1 - d) if wg.comm.get((i, i + d))]
+        even_hit = [pair for pair in hits if pair[0] % 2 == 0]
+        odd_hit = [pair for pair in hits if pair[0] % 2 == 1]
         entry["pass"] = not (even_hit and odd_hit)
         entry["even_start_pairs"] = even_hit
         entry["odd_start_pairs"] = odd_hit
     checks["cutoff_alternation"] = entry
 
-    window_gens = [wg.gen_vec(i) for i in wg.indices()]
     try:
-        derived = derived_subgroup(wg, cap)
-        yx = _commutator_normal_closure(wg, derived.generators, window_gens, cap)
-        yxx = _commutator_normal_closure(wg, yx.generators, window_gens, cap)
-        ok = True
+        series = lower_central_series(wg, cap)
+    except CapExceeded:
+        raise
+    except RuntimeError as err:
+        for name in ("commutator_bilinearity", "commutator_image_proper"):
+            checks[name] = {"pass": False, "error": str(err)}
+    else:
+        derived = series[1].sorted_elements()
+        # gamma_4, the trivial last term when the series is shorter
+        gamma4 = series[min(3, len(series) - 1)].elements
         witness = None
-        dsorted = derived.sorted_elements()
         for _ in range(trials):
-            y = dsorted[rng.randrange(len(dsorted))]
-            y2 = dsorted[rng.randrange(len(dsorted))]
+            y = derived[rng.randrange(len(derived))]
+            y2 = derived[rng.randrange(len(derived))]
             x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
             lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
             base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
-            if wg.mul_vec(wg.inv_vec(base), lhs) not in yxx.elements:
-                ok = False
+            if wg.mul_vec(wg.inv_vec(base), lhs) not in gamma4:
                 witness = {"y": list(y), "y2": list(y2), "x": list(x)}
                 break
-        checks["commutator_bilinearity"] = {"pass": ok, "trials": trials}
-        if witness:
-            checks["commutator_bilinearity"]["witness"] = witness
-    except CapExceeded:
-        raise
-    except RuntimeError as err:
-        checks["commutator_bilinearity"] = {"pass": False, "error": str(err)}
+        checks["commutator_bilinearity"] = report_entry(witness, trials=trials)
 
-    try:
-        series = lower_central_series(wg, cap)
-        derived = series[1]
-        ok = True
-        witness = None
-        for term in series[1:]:
-            if term.is_trivial():
-                continue
-            image = _commutator_normal_closure(wg, term.generators, window_gens, cap)
-            if not (image.elements < term.elements):
-                ok = False
-                witness = {"term_order": term.order, "image_order": image.order}
-                break
+        witness = next(
+            (
+                {"term_order": term.order, "image_order": image.order}
+                for term, image in zip(series[1:], series[2:])
+                if not image.elements < term.elements
+            ),
+            None,
+        )
         # the whole group itself also shrinks: [X, X] is proper
-        if ok and not derived.is_trivial() and derived.order >= wg.order:
-            ok = False
-            witness = {"term_order": wg.order, "image_order": derived.order}
-        checks["commutator_image_proper"] = {"pass": ok}
-        if witness:
-            checks["commutator_image_proper"]["witness"] = witness
-    except CapExceeded:
-        raise
-    except RuntimeError as err:
-        checks["commutator_image_proper"] = {"pass": False, "error": str(err)}
+        if witness is None and series[1].order >= wg.order:
+            witness = {"term_order": wg.order, "image_order": series[1].order}
+        checks["commutator_image_proper"] = report_entry(witness)
 
     abelian = wg.is_abelian()
     unit_shift = single_shift_extends(wg)

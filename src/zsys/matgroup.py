@@ -60,13 +60,6 @@ class LaurentMatrix:
         n = len(entries)
         return cls(fp, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_lists(cls, fp: Fp, data) -> "LaurentMatrix":
-        return cls(fp, [[LaurentPoly.from_pairs(fp, e) for e in row] for row in data])
-
-    def to_lists(self) -> list:
-        return [[e.to_pairs() for e in row] for row in self.rows]
-
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Row-by-row product over the nonzero entries of both factors; the
         entries of the generators are mostly 0, 1 or a monomial.

@@ -12,9 +12,11 @@ unitary example is reported "not checked".
 
 from __future__ import annotations
 
+import itertools
+
 from .matgroup import StandardExample, commutator
 from .rootsystem import Root, alpha, negate, reflect
-from .zsystem import CapExceeded
+from .zsystem import CapExceeded, report_entry
 
 # RGD2 commutators past which rgd_check refuses to start: it forms and reads
 # off one matrix commutator for each, K(2K+1) * 2 * (p-1)^2 in all
@@ -29,12 +31,23 @@ def _range_roots(K: int):
 
 def _generators(example, K: int) -> dict:
     """The root-group generator of each root in [-K, K] and each parameter
-    1, ..., p-1, keyed by (root, parameter)."""
-    return {
+    1, ..., p-1, keyed by (root, parameter).  For the standard example the
+    table also holds, keyed by (i, lam), the reflection element
+    m(i, lam) = v u v of each simple root index i and parameter lam, where u
+    is the generator of alpha(i) with parameter lam and v that of -alpha(i)
+    with parameter -1/lam."""
+    p = example.p
+    gen = {
         (root, lam): example.root_generator(root, lam)
         for root in _range_roots(K)
-        for lam in range(1, example.p)
+        for lam in range(1, p)
     }
+    if isinstance(example, StandardExample):
+        for i, lam in itertools.product((0, 1), range(1, p)):
+            a = alpha(i)
+            v = gen[negate(a), (-example.fp.inv(lam)) % p]
+            gen[i, lam] = v * gen[a, lam] * v
+    return gen
 
 
 def rgd_check(example, K: int) -> dict:
@@ -52,69 +65,40 @@ def rgd_check(example, K: int) -> dict:
         )
     units = range(1, p)
     checks = {}
-    # every root-group element and torus element the checks use, built once so
-    # that each is inverted at most once
+    # every root-group element, reflection element and torus element the
+    # checks use, built once so that each is inverted at most once
     gen = _generators(example, K)
     torus = {lam: example.h(lam) for lam in units}
 
-    witness = None
-    for root in _range_roots(K):
-        if gen[root, 1].is_identity():
-            witness = {"root": list(root)}
-            break
-    checks["RGD1"] = {"pass": witness is None}
-    if witness:
-        checks["RGD1"]["witness"] = witness
+    witness = next(
+        ({"root": list(root)} for root in _range_roots(K) if gen[root, 1].is_identity()), None
+    )
+    checks["RGD1"] = report_entry(witness)
 
-    fail = None
+    witness = None
     samples = []
-    for z in range(-K, K + 1):
-        for z2 in range(z + 1, K + 1):
-            for eps in (1, -1):
-                for lam in units:
-                    for mu in units:
-                        c = commutator(gen[Root(z, eps), lam], gen[Root(z2, eps), mu])
-                        try:
-                            if eps == 1:
-                                vec = example.normal_form(c, z + 1, z2 - 1)
-                            else:
-                                vec = example.normal_form_negative(c, z + 1, z2 - 1)
-                        except ValueError as err:
-                            fail = {
-                                "z": z, "z2": z2, "eps": eps,
-                                "lam": lam, "mu": mu, "error": str(err),
-                            }
-                            break
-                        word = {z + 1 + k: e for k, e in enumerate(vec) if e}
-                        if word and lam == 1 and mu == 1 and len(samples) < 8:
-                            samples.append({"z": z, "z2": z2, "eps": eps, "word": word})
-                    if fail:
-                        break
-                if fail:
-                    break
-            if fail:
-                break
-        if fail:
+    pairs = itertools.combinations(range(-K, K + 1), 2)
+    for (z, z2), eps, lam, mu in itertools.product(pairs, (1, -1), units, units):
+        c = commutator(gen[Root(z, eps), lam], gen[Root(z2, eps), mu])
+        read = example.normal_form if eps == 1 else example.normal_form_negative
+        try:
+            vec = read(c, z + 1, z2 - 1)
+        except ValueError as err:
+            witness = {"z": z, "z2": z2, "eps": eps, "lam": lam, "mu": mu, "error": str(err)}
             break
-    checks["RGD2"] = {"pass": fail is None, "interior_words": samples}
-    if fail:
-        checks["RGD2"]["witness"] = fail
+        word = {z + 1 + k: e for k, e in enumerate(vec) if e}
+        if word and lam == mu == 1 and len(samples) < 8:
+            samples.append({"z": z, "z2": z2, "eps": eps, "word": word})
+    checks["RGD2"] = report_entry(witness, interior_words=samples)
 
     if isinstance(example, StandardExample):
-        rgd3_pass = True
-        rgd3_witness = None
-        for i in (0, 1):
-            for lam in units:
-                _, rep = rgd3_m_map(example, i, lam, K, gen)
-                if not rep["pass"]:
-                    rgd3_pass = False
-                    rgd3_witness = {"i": i, "lam": lam, "report": rep}
-                    break
-            if not rgd3_pass:
+        witness = None
+        for i, lam in itertools.product((0, 1), units):
+            _, rep = rgd3_m_map(example, i, lam, K, gen)
+            if not rep["pass"]:
+                witness = {"i": i, "lam": lam, "report": rep}
                 break
-        checks["RGD3"] = {"pass": rgd3_pass}
-        if rgd3_witness:
-            checks["RGD3"]["witness"] = rgd3_witness
+        checks["RGD3"] = report_entry(witness)
     else:
         checks["RGD3"] = {
             "status": "not checked",
@@ -131,19 +115,13 @@ def rgd_check(example, K: int) -> dict:
     }
 
     witness = None
-    for root in _range_roots(K):
-        for lam in units:
-            h = torus[lam]
-            image = h.inv() * gen[root, 1] * h
-            matched = example.root_of(image)
-            if matched is None or matched[0] != root:
-                witness = {"root": list(root), "lam": lam}
-                break
-        if witness:
+    for root, lam in itertools.product(_range_roots(K), units):
+        h = torus[lam]
+        matched = example.root_of(h.inv() * gen[root, 1] * h)
+        if matched is None or matched[0] != root:
+            witness = {"root": list(root), "lam": lam}
             break
-    checks["RGD6"] = {"pass": witness is None}
-    if witness:
-        checks["RGD6"]["witness"] = witness
+    checks["RGD6"] = report_entry(witness)
 
     graded = [c for c in checks.values() if "pass" in c]
     return {
@@ -156,12 +134,13 @@ def rgd_check(example, K: int) -> dict:
 
 
 def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int, gen: dict | None = None):
-    """Build the reflection element m = v u v with u the simple-root generator
+    """Take the reflection element m = v u v with u the simple-root generator
     of parameter lam and v the opposite-root generator of parameter -1/lam;
     verify that conjugation by m permutes root groups exactly as the ladder
     reflection, and that quotients of two such elements land in the torus.
-    The generators come from gen, a table over [-K, K] as _generators builds
-    it, which is built here when it is not given."""
+    The generators and the reflection elements come from gen, a table over
+    [-K, K] as _generators builds it, which is built here when it is not
+    given."""
     if not isinstance(example, StandardExample):
         raise ValueError("reflection elements are implemented for the standard example only")
     if i not in (0, 1):
@@ -172,44 +151,34 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int, gen: dict | N
     if gen is None:
         # the simple roots sit at z = 0 and 1, inside the table for any K
         gen = _generators(example, max(K, 1))
-    a = alpha(i)
-    u = gen[a, lam % p]
-    v = gen[negate(a), (-example.fp.inv(lam)) % p]
-    m = v * u * v
+    m = gen[i, lam % p]
     m_inv = m.inv()
 
-    action_ok = True
     action_witness = None
-    for root in _range_roots(K):
-        for mu in range(1, p):
-            image = m * gen[root, mu] * m_inv
-            matched = example.root_of(image)
-            if matched is None or matched[0] != reflect(i, root):
-                action_ok = False
-                action_witness = {
-                    "root": list(root),
-                    "mu": mu,
-                    "expected": list(reflect(i, root)),
-                    "got": None if matched is None else list(matched[0]),
-                }
-                break
-        if not action_ok:
+    for root, mu in itertools.product(_range_roots(K), range(1, p)):
+        matched = example.root_of(m * gen[root, mu] * m_inv)
+        if matched is None or matched[0] != reflect(i, root):
+            action_witness = {
+                "root": list(root),
+                "mu": mu,
+                "expected": list(reflect(i, root)),
+                "got": None if matched is None else list(matched[0]),
+            }
             break
 
-    torus_ok = True
-    torus_witness = None
-    for lam2 in range(1, p):
-        v2 = gen[negate(a), (-example.fp.inv(lam2)) % p]
-        m2 = v2 * gen[a, lam2] * v2
-        if not example.in_torus(m_inv * m2):
-            torus_ok = False
-            torus_witness = {"lam": lam, "lam2": lam2}
-            break
+    torus_witness = next(
+        (
+            {"lam": lam, "lam2": lam2}
+            for lam2 in range(1, p)
+            if not example.in_torus(m_inv * gen[i, lam2])
+        ),
+        None,
+    )
 
     report = {
-        "pass": action_ok and torus_ok,
-        "action_matches_reflection": action_ok,
-        "quotients_in_torus": torus_ok,
+        "pass": action_witness is None and torus_witness is None,
+        "action_matches_reflection": action_witness is None,
+        "quotients_in_torus": torus_witness is None,
     }
     if action_witness:
         report["action_witness"] = action_witness

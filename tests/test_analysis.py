@@ -22,7 +22,6 @@ from zsys.analysis import (
     search_tables,
     shift_invariant_closure,
     single_shift_extends,
-    whole_group,
 )
 from zsys.matgroup import make_example
 from zsys.zsystem import (
@@ -40,6 +39,11 @@ def unitary(p, lo, hi):
 
 def standard(p, lo, hi):
     return derive_window(make_example("standard", p), lo, hi)
+
+
+def whole_group(wg, cap=None):
+    """The window group itself, enumerated by `generate` from its generators."""
+    return generate(wg, [wg.gen_vec(i) for i in wg.indices()], cap)
 
 
 # -- subgroup calculus ---------------------------------------------------------
@@ -154,6 +158,26 @@ def test_cutoff_bound_validation():
         lower_cutoff(make_example("standard", 3), 0)
 
 
+def test_cutoff_table_scan_stops_at_the_window_span():
+    # no pair lies farther apart than hi - lo, so any larger bound gives the
+    # same answer at once
+    for wg in (unitary(3, 0, 4), standard(3, 0, 4), WindowGroup(3, 0, 3, {}), unitary(3, 0, 0)):
+        assert lower_cutoff(wg, 10**18) == lower_cutoff(wg, max(wg.hi - wg.lo, 1))
+
+
+def test_cutoff_budget_bounds_the_matrix_commutators(monkeypatch):
+    # two commutators per distance: a bound of half the budget is the largest
+    # admitted, and the next one is refused before the first commutator
+    largest = analysis.CUTOFF_BUDGET // 2
+    assert lower_cutoff(make_example("unitary", 3), largest) == (2, (0, 2))
+    with pytest.raises(CapExceeded, match=f"{2 * largest + 2} commutators"):
+        lower_cutoff(make_example("standard", 3), largest + 1)
+    monkeypatch.setattr(analysis, "CUTOFF_BUDGET", 20)
+    assert lower_cutoff(make_example("standard", 3), 10) == (None, None)
+    with pytest.raises(CapExceeded, match="22 commutators, past the budget of 20"):
+        lower_cutoff(make_example("standard", 3), 11)
+
+
 def test_single_shift_extends():
     assert single_shift_extends(standard(3, 0, 5))
     assert not single_shift_extends(unitary(3, 0, 4))
@@ -208,6 +232,30 @@ def test_lemma_checks_pass_vacuous_boundary_window():
     }
     assert rep["pass"], rep
     assert "vacuous_at_boundary" not in lemma_checks(unitary(3, 0, 5))["checks"]["abelian_iff_unit_shift"]
+
+
+def test_lemma_checks_report_on_an_inconsistent_table():
+    # the series of this table does not descend, and both commutator checks
+    # read the series, so both carry its error
+    wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (1, 3): {2: 1}, (2, 4): {3: 1}})
+    error = {"pass": False, "error": "lower central series does not descend; table is inconsistent"}
+    assert lemma_checks(wg) == {
+        "p": 2,
+        "lo": 0,
+        "hi": 4,
+        "checks": {
+            "cutoff_alternation": {
+                "pass": False,
+                "cutoff": 2,
+                "even_start_pairs": [(0, 2), (2, 4)],
+                "odd_start_pairs": [(1, 3)],
+            },
+            "commutator_bilinearity": error,
+            "commutator_image_proper": error,
+            "abelian_iff_unit_shift": {"pass": False, "abelian": False, "unit_shift_invariant": True},
+        },
+        "pass": False,
+    }
 
 
 def test_lemma_checks_alternation_fails_when_both_parities_hit():
@@ -274,7 +322,7 @@ def test_two_generator_regeneration_and_its_window_limit():
     )
     assert edge.order == 243
     regen = regenerate(edge)
-    assert edge < regen and regen.order == 2187
+    assert edge.elements < regen.elements and regen.order == 2187
 
 
 def test_shift_closure_interior_seed():

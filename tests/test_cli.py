@@ -41,6 +41,26 @@ def test_cutoff_unitary_witness(capsys):
     assert json.loads(out) == {"cutoff": 2, "witness": [0, 2]}
 
 
+def test_cutoff_bound_past_the_window_or_the_budget(tmp_path, capsys):
+    # a table holds no pair past hi - lo, so a bound far past it answers at
+    # once; a matrix example forms two commutators per distance, and a bound
+    # past half the budget exits 2 before the first
+    _, out, _ = run_cli(capsys, "derive", "--example", "standard", "--p", "3", "--window", "0", "4")
+    table = tmp_path / "standard.json"
+    table.write_text(out)
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "cutoff", "--table", str(table), "--bound", "30000000")
+    assert time.perf_counter() - t0 < 2
+    assert (code, json.loads(out)) == (0, {"cutoff": "abelian-within-bound"})
+    code, out, _ = run_cli(capsys, "cutoff", "--example", "unitary", "--p", "3", "--bound", "5000")
+    assert (code, json.loads(out)) == (0, {"cutoff": 2, "witness": [0, 2]})
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "cutoff", "--example", "standard", "--p", "3", "--bound", "5001")
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (2, "")
+    assert "resource error" in err and "10002 commutators" in err
+
+
 def test_nf_example(capsys):
     code, out, _ = run_cli(
         capsys, "nf", "--example", "unitary", "--p", "3", "--window", "0", "2", "--word", "2:1 0:1"

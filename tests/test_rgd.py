@@ -1,14 +1,16 @@
 import hashlib
+import itertools
 import json
 import pathlib
 
 import pytest
+from test_matgroup import to_lists
 
 from zsys.cli import main as cli_main
 from zsys.matgroup import StandardExample, UnitaryExample, make_example
 from zsys import rgd
 from zsys.rgd import rgd3_m_map, rgd_check
-from zsys.rootsystem import Root, reflect
+from zsys.rootsystem import Root, alpha, negate, reflect
 from zsys.zsystem import CapExceeded
 
 
@@ -52,7 +54,7 @@ def test_rgd2_unitary_interior_words_on_odd_midpoint():
 def test_weyl_element_frozen_f5():
     ex = StandardExample(5)
     m, report = rgd3_m_map(ex, 0, 1, 4)
-    assert m.to_lists() == [[[], [[0, 1]]], [[[0, 4]], []]]
+    assert to_lists(m) == [[[], [[0, 1]]], [[[0, 4]], []]]
     assert report["pass"]
 
 
@@ -120,13 +122,101 @@ def test_rgd_budget_bounds_the_rgd2_commutators(monkeypatch):
 def test_rgd3_with_and_without_the_generator_table():
     ex = StandardExample(5)
     table = rgd._generators(ex, 3)
-    for i in (0, 1):
-        for lam in range(1, 5):
-            m, report = rgd3_m_map(ex, i, lam, 3)
-            assert (m, report) == rgd3_m_map(ex, i, lam, 3, table)
-            assert report["pass"]
+    # the reflection elements of the table, built again as v u v: the report
+    # reads each one from the table it is given
+    reflections = {}
+    for i, lam in itertools.product((0, 1), range(1, 5)):
+        a = alpha(i)
+        v = table[negate(a), (-ex.fp.inv(lam)) % 5]
+        reflections[i, lam] = v * table[a, lam] * v
+    rebuilt = {**table, **reflections}
+    for i, lam in itertools.product((0, 1), range(1, 5)):
+        m, report = rgd3_m_map(ex, i, lam, 3)
+        assert (m, report) == rgd3_m_map(ex, i, lam, 3, table)
+        assert (m, report) == rgd3_m_map(ex, i, lam, 3, rebuilt)
+        assert rgd3_m_map(ex, i, lam, 3, table)[0] is table[i, lam]
+        assert rgd3_m_map(ex, i, lam, 3, rebuilt)[0] is reflections[i, lam]
+        assert report["pass"]
     # a range that leaves out a simple root still finds it
     assert rgd3_m_map(ex, 1, 2, 0)[1]["pass"]
+
+
+RGD4_REPORT = {
+    "status": "out of scope",
+    "reason": "membership in an infinitely generated subgroup is not decidable here",
+}
+RGD5_REPORT = {
+    "pass": True,
+    "note": "holds by construction: the group is defined as generated by the root groups",
+}
+
+
+def test_rgd_reports_at_p3_K2():
+    standard = rgd_check(make_example("standard", 3), 2)
+    unitary = rgd_check(make_example("unitary", 3), 2)
+    assert json.dumps(standard) == json.dumps({
+        "example": "standard",
+        "p": 3,
+        "K": 2,
+        "checks": {
+            "RGD1": {"pass": True},
+            "RGD2": {"pass": True, "interior_words": []},
+            "RGD3": {"pass": True},
+            "RGD4": RGD4_REPORT,
+            "RGD5": RGD5_REPORT,
+            "RGD6": {"pass": True},
+        },
+        "pass": True,
+    })
+    assert json.dumps(unitary) == json.dumps({
+        "example": "unitary",
+        "p": 3,
+        "K": 2,
+        "checks": {
+            "RGD1": {"pass": True},
+            "RGD2": {
+                "pass": True,
+                "interior_words": [
+                    {"z": -2, "z2": 0, "eps": 1, "word": {-1: 2}},
+                    {"z": -2, "z2": 0, "eps": -1, "word": {-1: 1}},
+                    {"z": 0, "z2": 2, "eps": 1, "word": {1: 2}},
+                    {"z": 0, "z2": 2, "eps": -1, "word": {1: 1}},
+                ],
+            },
+            "RGD3": {
+                "status": "not checked",
+                "reason": "no reflection-element recipe is implemented for this family",
+            },
+            "RGD4": RGD4_REPORT,
+            "RGD5": RGD5_REPORT,
+            "RGD6": {"pass": True},
+        },
+        "pass": True,
+    })
+
+
+def test_rgd2_witness_is_the_first_failure_in_loop_order(monkeypatch):
+    # the 19th read-off fails: RGD2 runs over (z, z2), then eps, then lam,
+    # then mu, so the 16 read-offs of the pair (-2, -1) at eps = 1 come first
+    # and the 19th is that pair at eps = -1 with lam = 1 and mu = 3
+    ex = make_example("unitary", 5)
+    read = UnitaryExample.normal_form
+    calls = []
+
+    # the negative side reads off through normal_form of the transpose
+    def failing(self, c, lo, hi):
+        calls.append(None)
+        if len(calls) == 19:
+            raise ValueError("not in a root group")
+        return read(self, c, lo, hi)
+
+    monkeypatch.setattr(UnitaryExample, "normal_form", failing)
+    entry = rgd_check(ex, 2)["checks"]["RGD2"]
+    assert list(entry) == ["pass", "interior_words", "witness"]
+    assert entry["witness"] == {
+        "z": -2, "z2": -1, "eps": -1, "lam": 1, "mu": 3, "error": "not in a root group",
+    }
+    assert entry["interior_words"] == []
 
 
 def test_rgd2_agrees_with_derived_window_table():

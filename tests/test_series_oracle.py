@@ -7,11 +7,15 @@ commutators of the generators of gamma_k with the window generators.  The
 oracles here form the same subgroups from commutators of elements:
 X' from every pair of window generators, gamma_(k+1) from every element of
 gamma_k.  `commutator_subgroup` and `derived_series` are the brute-force
-definitions, over whole element sets.  All of them presume a consistent
-table, so the tables drawn here are: the search tables at p = 2 and p = 3
+definitions, over whole element sets.  `oracle_lemma_checks` is the lemma
+report built without sharing the series: it forms [Y, X], [Y, X, X] and the
+image of each series term by normal closures of their own.  All of them
+presume a consistent table, so the tables drawn here are: the search tables at p = 2 and p = 3
 (class 1 to 3, central and not), and random central tables that pass the
 overlap test.
 """
+
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,11 +26,14 @@ from zsys.analysis import (
     Subgroup,
     derived_subgroup,
     generate,
+    lemma_checks,
     lower_central_series,
+    lower_cutoff,
     nilpotency_class,
     normal_closure,
+    single_shift_extends,
 )
-from zsys.zsystem import closure, overlap_violation
+from zsys.zsystem import CapExceeded, closure, overlap_violation
 
 
 def commutator_normal_closure(wg, a_vecs, b_vecs, cap=None) -> Subgroup:
@@ -90,6 +97,110 @@ def derived_series(wg, cap=None) -> list:
     return series
 
 
+def oracle_lemma_checks(wg, cap=None, trials: int = 50, seed: int = 0) -> dict:
+    """The lemma report with each subgroup formed by a normal closure of its
+    own: X', [X', X] and [X', X, X] for bilinearity, then the series and, for
+    each term, its image under commutation with the window generators."""
+    rng = random.Random(seed)
+    checks = {}
+
+    cut = lower_cutoff(wg, max(wg.width - 1, 1))
+    entry = {"pass": True, "cutoff": cut.value}
+    if cut.value is not None:
+        d = cut.value
+        even_hit = [
+            (i, i + d)
+            for i in range(wg.lo, wg.hi + 1 - d)
+            if i % 2 == 0 and wg.comm.get((i, i + d))
+        ]
+        odd_hit = [
+            (i, i + d)
+            for i in range(wg.lo, wg.hi + 1 - d)
+            if i % 2 == 1 and wg.comm.get((i, i + d))
+        ]
+        entry["pass"] = not (even_hit and odd_hit)
+        entry["even_start_pairs"] = even_hit
+        entry["odd_start_pairs"] = odd_hit
+    checks["cutoff_alternation"] = entry
+
+    window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    try:
+        derived = derived_subgroup(wg, cap)
+        yx = commutator_normal_closure(wg, derived.generators, window_gens, cap)
+        yxx = commutator_normal_closure(wg, yx.generators, window_gens, cap)
+        ok = True
+        witness = None
+        dsorted = derived.sorted_elements()
+        for _ in range(trials):
+            y = dsorted[rng.randrange(len(dsorted))]
+            y2 = dsorted[rng.randrange(len(dsorted))]
+            x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
+            lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
+            base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
+            if wg.mul_vec(wg.inv_vec(base), lhs) not in yxx.elements:
+                ok = False
+                witness = {"y": list(y), "y2": list(y2), "x": list(x)}
+                break
+        checks["commutator_bilinearity"] = {"pass": ok, "trials": trials}
+        if witness:
+            checks["commutator_bilinearity"]["witness"] = witness
+    except CapExceeded:
+        raise
+    except RuntimeError as err:
+        checks["commutator_bilinearity"] = {"pass": False, "error": str(err)}
+
+    try:
+        series = lower_central_series(wg, cap)
+        derived = series[1]
+        ok = True
+        witness = None
+        for term in series[1:]:
+            if term.is_trivial():
+                continue
+            image = commutator_normal_closure(wg, term.generators, window_gens, cap)
+            if not (image.elements < term.elements):
+                ok = False
+                witness = {"term_order": term.order, "image_order": image.order}
+                break
+        if ok and not derived.is_trivial() and derived.order >= wg.order:
+            ok = False
+            witness = {"term_order": wg.order, "image_order": derived.order}
+        checks["commutator_image_proper"] = {"pass": ok}
+        if witness:
+            checks["commutator_image_proper"]["witness"] = witness
+    except CapExceeded:
+        raise
+    except RuntimeError as err:
+        checks["commutator_image_proper"] = {"pass": False, "error": str(err)}
+
+    abelian = wg.is_abelian()
+    unit_shift = single_shift_extends(wg)
+    vacuous = cut.value == wg.hi - wg.lo
+    checks["abelian_iff_unit_shift"] = {
+        "pass": abelian == unit_shift or vacuous,
+        "abelian": abelian,
+        "unit_shift_invariant": unit_shift,
+    }
+    if vacuous:
+        checks["abelian_iff_unit_shift"]["vacuous_at_boundary"] = True
+
+    return {
+        "p": wg.p,
+        "lo": wg.lo,
+        "hi": wg.hi,
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks.values()),
+    }
+
+
+def same_report(report, expected):
+    """Equal, with the keys of every entry in the same order."""
+    assert report == expected
+    assert [list(c) for c in report["checks"].values()] == [
+        list(c) for c in expected["checks"].values()
+    ]
+
+
 def check_series(wg):
     derived = derived_subgroup(wg)
     assert derived.elements == oracle_derived_subgroup(wg).elements, wg.comm
@@ -128,3 +239,27 @@ def test_cap_outcome_on_search_tables():
     for wg in searched_windows()[::7]:
         for cap in (1, 2, 4, 9, 27):
             assert outcome(nilpotency_class, wg, cap) == outcome(oracle_class, wg, cap), wg.comm
+
+
+def test_lemma_checks_match_oracle_on_search_tables():
+    for k, wg in enumerate(searched_windows()):
+        same_report(lemma_checks(wg, seed=k), oracle_lemma_checks(wg, seed=k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_lemma_checks_match_oracle_on_drawn_tables(data):
+    if data.draw(st.booleans()):
+        wg = data.draw(st.sampled_from(searched_windows()))
+    else:
+        wg = data.draw(central_tables())
+        assume(wg.order <= 3**6 and overlap_violation(wg) is None)
+    trials = data.draw(st.integers(1, 60))
+    seed = data.draw(st.integers(0, 2**32))
+    cap = data.draw(st.none() | st.integers(1, wg.order))
+    got = outcome(lambda: lemma_checks(wg, cap, trials, seed))
+    expected = outcome(lambda: oracle_lemma_checks(wg, cap, trials, seed))
+    if isinstance(expected, dict):
+        same_report(got, expected)
+    else:
+        assert got == expected
