@@ -16,16 +16,20 @@ The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
 the boundary overlaps level by level while it backtracks), and spread every
 representative word over its translation orbit with `_propagate`.  Every
-table they build is shift-invariant, so a check is fixed by p, its shape and
-the codes of the orbit words it meets, and one memo keyed by these
-(`_checks_pass`) keeps whether each check fails.  It serves a whole
-`search_tables` call: its candidate loop and every `extendable` and
-`_consistent_extensions` call under it, so a check that recurs in translate
-across candidates, certificates or backtracking nodes is collected once.  A
-direct `extendable` call owns a memo of its own.  A backtracking node builds
-its window only when a check misses the memo, widened from the table being
-extended so that it reuses that table's crossings.  The exhaustive closure
-stays in `zsystem.verify_zs_axioms`, the `axioms` report.
+table they build is shift-invariant, so a check with lowest index i reads
+the table only through orbit words, each in a slot (parity relative to i,
+distance), and its outcome is fixed by p, its shape and the words that its
+collection looks up.  One `OverlapMemo` keeps the outcomes as a decision
+tree per (p, check shape) on those words.  At a miss the check runs once on
+the sub-window [0, n] read from the orbit words
+(`zsystem.WindowGroup.reading`), and the slots it reads become a path of
+the tree.  The memo serves a whole `search_tables` call, its candidates and
+every certificate under it, so a check that recurs in translate, or on
+tables that differ only in words it does not read, is collected once; a
+direct `extendable` call owns a memo of its own.  Backtracking nodes are
+decided from their orbit words alone, and only the widenings they yield
+are built into windows.  The exhaustive closure stays in
+`zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
 from __future__ import annotations
@@ -163,10 +167,15 @@ def lower_cutoff(target, bound: int) -> CutoffResult:
             f"cutoff up to distance {bound} needs {2 * bound} commutators, "
             f"past the budget of {CUTOFF_BUDGET}"
         )
+    # each generator is built once: u_0 and u_1 before the scan, and u_(1 + d)
+    # at distance d, which is u_(0 + d) at the next distance
+    low = (target.u(0, 1), target.u(1, 1))
+    high = low[1]
     for d in range(1, bound + 1):
         for n in (0, 1):
-            c = mat_commutator(target.u(n, 1), target.u(n + d, 1))
-            if not c.is_identity():
+            if n:
+                high = target.u(1 + d, 1)
+            if not mat_commutator(low[n], high).is_identity():
                 return CutoffResult(d, (n, n + d))
     return CutoffResult(None, None)
 
@@ -313,19 +322,20 @@ def _word_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
     return tuple(words)
 
 
-def _code(word, start: int) -> str:
-    """The word of a pair that starts at `start`, as the orbit memo spells
-    it: its number of letters, then for each letter in ascending order its
-    position minus start and its exponent (in decimal, closed by a comma,
-    so that any modulus fits)."""
-    return chr(len(word)) + "".join(f"{chr(k - start)}{word[k]}," for k in sorted(word))
+def _coded(word, start: int) -> tuple:
+    """(code, letters) of the word of a pair that starts at `start`: its
+    letters ascending as (position minus start, exponent), and the string
+    that the overlap memo branches on, their number and then each position
+    and exponent (in decimal, closed by a comma, so that any modulus fits)."""
+    letters = tuple((k - start, word[k]) for k in sorted(word))
+    return chr(len(letters)) + "".join(f"{chr(k)}{e}," for k, e in letters), letters
 
 
 @functools.lru_cache(maxsize=None)
 def _coded_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
-    """(word, its `_code`) for every word of `_word_choices(p, i, j,
-    support_bound)`, in its order."""
-    return tuple((word, _code(word, i)) for word in _word_choices(p, i, j, support_bound))
+    """(word, code, letters) for every word of `_word_choices(p, i, j,
+    support_bound)`, in its order (see `_coded`)."""
+    return tuple((word, *_coded(word, i)) for word in _word_choices(p, i, j, support_bound))
 
 
 def _free_reps(lo: int, hi: int) -> list:
@@ -353,27 +363,27 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
     return table
 
 
-def _orbit_codes(wg: WindowGroup) -> list:
-    """codes[s][d]: the `_code` of the word of the pair (lo + s, lo + s + d),
-    for s in (0, 1) and every such pair at distance d >= 2 in the window;
-    the other entries are empty."""
+def _orbits(wg: WindowGroup) -> tuple:
+    """(codes, words): codes[s][d] and words[s][d] are the `_coded` code and
+    letters of the word of the pair (lo + s, lo + s + d), for s in (0, 1)
+    and each such pair at distance d >= 2 in the window; the other entries
+    are "" and None."""
     codes = [[""] * wg.width for _ in range(2)]
+    words = [[None] * wg.width for _ in range(2)]
     for i0, j0 in _free_reps(wg.lo, wg.hi):
-        codes[i0 - wg.lo][j0 - i0] = _code(wg.comm.get((i0, j0), {}), i0)
-    return codes
+        s, d = i0 - wg.lo, j0 - i0
+        codes[s][d], words[s][d] = _coded(wg.comm.get((i0, j0), {}), i0)
+    return codes, words
 
 
 def _plan(lo: int, checks) -> tuple:
-    """The checks of a window starting at lo, grouped by what their memo
-    keys share: (s, n, ((check, chr(n) + chr(middle - i)), ...)) for the
-    checks whose lowest index i has parity s relative to lo and whose extreme
-    indices lie n apart (middle - i is 0 for a power check)."""
-    groups = {}
-    for check in checks:
-        i, n = check[-1], check[0] - check[-1]
-        middle = check[1] - i if len(check) == 3 else 0
-        groups.setdefault(((i - lo) & 1, n), []).append((check, chr(n) + chr(middle)))
-    return tuple((s, n, tuple(items)) for (s, n), items in groups.items())
+    """The checks of a window starting at lo as the memo looks them up: (s,
+    shape) for each, where s is the parity of its lowest index i relative to
+    lo and its shape is the check minus i.  On a shift-invariant table a
+    check and its translates by 2 agree, so each (s, shape) is kept once."""
+    return tuple(
+        dict.fromkeys(((check[-1] - lo) & 1, tuple(k - check[-1] for k in check)) for check in checks)
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,46 +392,126 @@ def _window_plan(lo: int, hi: int) -> tuple:
     return _plan(lo, zsystem.overlap_checks(lo, hi))
 
 
-def _checks_pass(memo: dict, p: int, plan, codes, window) -> bool:
-    """Whether every planned check passes on the shift-invariant table whose
-    orbit words have the codes `codes` (as `_orbit_codes` lays them out).
+class _OrbitReads:
+    """The crossing words of a shift-invariant table on [i, i + n], moved to
+    [0, n]: the word of the pair (c, l) is the orbit word words[c & 1][l - c]
+    (letters relative to the start) moved to start at c.  `slots` lists the
+    slot (s, d) of each first read, in order; a pair at distance 1 has no
+    word and reads nothing."""
 
-    On such a table the sub-table on [i, i + n] moved to 0 is fixed by the
-    words of the pairs (i, i + d), d = 2..n, and (i + 1, i + 1 + d),
-    d = 2..n-1, each relative to its pair's start: those of the orbits of
-    parity s and 1 - s.  With p, n and the middle index these fix the
-    outcome of a check (see `zsystem.overlap_violation`), so they are its key
-    in the memo, whose values say whether the check fails.  At a miss the
-    check is run by overlap_violation on window(), which is called at the
-    first miss only, and its outcome is kept."""
-    group = None
-    for s, n, items in plan:
-        span = f"{p}," + "".join(codes[s][2 : n + 1]) + "".join(codes[1 - s][2:n])
-        for check, head in items:
-            key = head + span
-            failed = memo.get(key)
-            if failed is None:
-                if group is None:
-                    group = window()
-                failed = memo[key] = zsystem.overlap_violation(group, [check]) is not None
-            if failed:
-                return False
+    __slots__ = ("words", "slots", "got")
+
+    def __init__(self, words):
+        self.words = words
+        self.slots = []
+        self.got = {}
+
+    def get(self, pair, default):
+        got = self.got.get(pair)
+        if got is None:
+            c, l = pair
+            if l - c < 2:
+                got = default
+            else:
+                slot = (c & 1, l - c)
+                if slot not in self.slots:
+                    self.slots.append(slot)
+                got = tuple((c + k, e) for k, e in self.words[c & 1][l - c])
+            self.got[pair] = got
+        return got
+
+
+class OverlapMemo:
+    """Whether overlap checks fail on shift-invariant tables: one decision
+    tree per (p, check shape), the shape being the check minus its lowest
+    index i.  An internal node is a tuple (s, d, branches) for the orbit
+    slot that collection reads next, the pairs at distance d whose start
+    has parity s relative to i, and its branches map that orbit word's code
+    to the next node; a leaf is a bool, true when the check fails.
+    Collection is deterministic, so the slot read next depends only on the
+    words read so far, and a recorded path that disagrees with the tree is
+    an internal error.  `len` is the number of leaves."""
+
+    __slots__ = ("trees", "leaves")
+
+    def __init__(self):
+        self.trees = {}  # p -> {shape: tree}
+        self.leaves = 0
+
+    def __len__(self) -> int:
+        return self.leaves
+
+    def clear(self):
+        self.trees.clear()
+        self.leaves = 0
+
+    def run(self, p: int, shape: tuple, codes, words) -> bool:
+        """Whether the check of this shape fails, by `overlap_violation` on the
+        window [0, shape[0]] read from the orbit words (codes[s][d] and
+        words[s][d] are those of slot (s, d)), inserted on the path of the
+        slots the run reads.  The window takes the generic fold on an empty
+        crossing memo, so every word the outcome depends on is read."""
+        reads = _OrbitReads(words)
+        window = WindowGroup.reading(p, 0, shape[0], reads)
+        failed = zsystem.overlap_violation(window, [shape]) is not None
+        self.insert(p, shape, [(s, d, codes[s][d]) for s, d in reads.slots], failed)
+        return failed
+
+    def insert(self, p: int, shape: tuple, path: list, failed: bool):
+        """Add the leaf `failed` at the end of `path`, the (s, d, code) reads
+        of one run in order.  Raises RuntimeError, and changes nothing, when
+        the tree already reads another slot along the path, or already holds
+        a node where the path ends."""
+        branches, key = self.trees.setdefault(p, {}), shape
+        at = 0
+        while key in branches:
+            node = branches[key]
+            if at == len(path) or node.__class__ is not tuple or node[:2] != path[at][:2]:
+                raise RuntimeError(
+                    f"overlap memo: the reads {path} of check {shape} at p={p} "
+                    "conflict with the recorded ones"
+                )
+            branches, key = node[2], path[at][2]
+            at += 1
+        node = failed
+        for s, d, code in reversed(path[at:]):
+            node = (s, d, {code: node})
+        branches[key] = node
+        self.leaves += 1
+
+
+def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
+    """Whether every planned check passes on the shift-invariant table with
+    these orbit codes and words (laid out as by `_orbits`): each is decided
+    by walking its tree on the codes, and at a miss by `OverlapMemo.run`."""
+    trees = memo.trees.setdefault(p, {})
+    rows = ((codes[0], codes[1]), (codes[1], codes[0]))
+    for s0, shape in plan:
+        slots = rows[s0]
+        node = trees.get(shape)
+        while node.__class__ is tuple:
+            s, d, branches = node
+            node = branches.get(slots[s][d])
+        if node is None:
+            node = memo.run(p, shape, slots, (words[s0], words[1 - s0]))
+        if node:
+            return False
     return True
 
 
-def _consistent(wg: WindowGroup, memo: dict, codes=None) -> bool:
-    """Whether the strictly interior shift-invariant table passes the overlap
-    test, decided through the orbit memo; `codes` are its `_orbit_codes`,
-    computed when None."""
-    if codes is None:
-        codes = _orbit_codes(wg)
-    return _checks_pass(memo, wg.p, _window_plan(wg.lo, wg.hi), codes, lambda: wg)
+def _consistent(wg: WindowGroup, memo: OverlapMemo) -> bool:
+    """Whether the shift-invariant table passes the overlap test, decided
+    through the overlap memo; a table that is not strictly interior raises
+    the collector's ValueError."""
+    if wg.zs5_ok() is not None:
+        raise ValueError(zsystem.NOT_INTERIOR)
+    codes, words = _orbits(wg)
+    return _checks_pass(memo, wg.p, _window_plan(wg.lo, wg.hi), codes, words)
 
 
-# orbit-memo entries (a short str key each) past which the search empties
-# its memo, between candidates and at backtracking nodes: deep searches and
-# deep certificates meet ever new sub-tables, and a cache that only grows
-# would hold them all
+# memo leaves past which the search empties its overlap memo, between
+# candidates and at backtracking nodes: deep searches and deep certificates
+# meet ever new sub-tables, and a cache that only grows would hold them all
 MEMO_LIMIT = 1 << 16
 
 
@@ -440,12 +530,12 @@ def search_tables(
     Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
     argument is checked before the first table is yielded; an extend_depth
     below 1 would certify nothing and is refused.  Each candidate is built
-    into its WindowGroup, and its consistency is decided through the orbit
-    memo (`_checks_pass`), from the codes of its representative words, which
-    are cached with the word choices.  The call owns one memo for its candidates
-    and their certificates, emptied between candidates and at the
-    backtracking nodes of a certificate once it holds more than MEMO_LIMIT
-    entries; the memo is a cache, so no result depends on it.
+    into its WindowGroup, and its consistency is decided through the overlap
+    memo (`_checks_pass`), from the codes and letters of its representative
+    words, which are cached with the word choices.  The call owns one memo
+    for its candidates and their certificates, emptied between candidates
+    and at the backtracking nodes of a certificate once it holds more than
+    MEMO_LIMIT leaves; the memo is a cache, so no result depends on it.
     """
     if extend_depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
@@ -458,15 +548,19 @@ def search_tables(
     reps = _free_reps(lo, hi)
     slots = [(i - lo, j - i) for i, j in reps]
     choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in reps]
-    memo = {}
+    plan = _window_plan(lo, hi)
+    # every slot is set for each candidate, so the rows are reused
+    codes = [[""] * (hi - lo + 1) for _ in range(2)]
+    words = [[None] * (hi - lo + 1) for _ in range(2)]
+    memo = OverlapMemo()
     for assignment in itertools.product(*choice_lists):
-        codes = [[""] * (hi - lo + 1) for _ in range(2)]
         rep_words = {}
-        for rep, (s, d), (word, code) in zip(reps, slots, assignment):
+        for rep, (s, d), (word, code, letters) in zip(reps, slots, assignment):
             rep_words[rep] = word
             codes[s][d] = code
+            words[s][d] = letters
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
-        if not _consistent(wg, memo, codes):
+        if not _checks_pass(memo, p, plan, codes, words):
             continue
         cls = nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth, memo)
@@ -478,12 +572,12 @@ def search_tables(
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
     one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused.  `memo` is an orbit memo of
-    `_checks_pass` to share; without one the call owns its own."""
+    would certify nothing and is refused.  `memo` is an `OverlapMemo` to
+    share; without one the call owns its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
     if memo is None:
-        memo = {}
+        memo = OverlapMemo()
     for ext in _consistent_extensions(wg, support_bound, memo):
         if depth == 1 or extendable(ext, support_bound, depth - 1, memo):
             return True
@@ -527,62 +621,47 @@ def _extension_plan(lo: int, hi: int) -> tuple:
 def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     """Yield consistent shift-invariant widenings of the table to
     [lo-1, hi+1], via backtracking over the newly free orbit representatives
-    with incremental overlap pruning through the orbit memo (a fresh one
+    with incremental overlap pruning through the overlap memo (a fresh one
     without `memo`).  A node empties the memo first if it holds more than
-    MEMO_LIMIT entries.
+    MEMO_LIMIT leaves.
 
     Every orbit that meets the window is anchored on the word of its first
-    translate there, and the table on [lo, hi] that these words spread to is
-    the base window: the table itself when it is shift-invariant, else a
-    window built from that restriction.  A node builds its window only when
-    one of its checks misses the memo, and at the leaves that are yielded;
-    it is made by the base window's `widened`, so it reuses the base
-    window's crossings."""
+    translate there.  A node is decided from the codes and letters of the
+    orbit words alone, and only a leaf that is yielded is built into a
+    window."""
     p, lo, hi = wg.p, wg.lo, wg.hi
     lo2, hi2 = lo - 1, hi + 1
     anchored, new_reps, levels = _extension_plan(lo, hi)
 
     rep_words = {}
+    codes = [[""] * (hi2 - lo2 + 1) for _ in range(2)]
+    words = [[None] * (hi2 - lo2 + 1) for _ in range(2)]
     for (i0, j0), shift in anchored:
-        word = wg.comm.get((i0 + shift, j0 + shift))
+        word = {k - shift: e for k, e in wg.comm.get((i0 + shift, j0 + shift), {}).items()}
+        # collection on the widenings would refuse such a word
+        if any(not i0 < k < j0 for k in word):
+            raise ValueError(zsystem.NOT_INTERIOR)
         if word:
-            rep_words[(i0, j0)] = {k - shift: e for k, e in word.items()}
-    # collection on the widenings would refuse such a word
-    if any(not i0 < k < j0 for (i0, j0), word in rep_words.items() for k in word):
-        raise ValueError("comm table is not strictly interior; collection undefined")
-    restriction = {
-        pair: word
-        for pair, word in _propagate(lo2, hi2, rep_words).items()
-        if lo <= pair[0] and pair[1] <= hi
-    }
-    base = wg if restriction == wg.comm else WindowGroup(p, lo, hi, restriction)
-    # the orbit starting at lo - 1 is anchored at lo + 1, the one at lo at lo
-    even, odd = _orbit_codes(base)
-    codes = [odd + ["", ""], even + ["", ""]]
+            rep_words[(i0, j0)] = word
+        codes[i0 - lo2][j0 - i0], words[i0 - lo2][j0 - i0] = _coded(word, i0)
     choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in new_reps]
     if memo is None:
-        memo = {}
+        memo = OverlapMemo()
 
     def rec(idx: int):
         if len(memo) > MEMO_LIMIT:
             memo.clear()
-        built = []
-
-        def window():
-            if not built:
-                built.append(base.widened(_propagate(lo2, hi2, rep_words)))
-            return built[0]
-
-        if not _checks_pass(memo, p, levels[idx], codes, window):
+        if not _checks_pass(memo, p, levels[idx], codes, words):
             return
         if idx == len(new_reps):
-            yield window()
+            yield WindowGroup(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
             return
         rep = new_reps[idx]
         s, d = rep[0] - lo2, rep[1] - rep[0]
-        for word, code in choice_lists[idx]:
+        for word, code, letters in choice_lists[idx]:
             rep_words[rep] = word
             codes[s][d] = code
+            words[s][d] = letters
             yield from rec(idx + 1)
         del rep_words[rep]
 

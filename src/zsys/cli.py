@@ -224,7 +224,9 @@ def main(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         if args.command == "cutoff":
-            if args.table:
+            # a table, or a window derived from the example, is scanned as a
+            # window; the bare example is scanned on its matrices
+            if args.table or args.window is not None:
                 target = _load_window(args)
             else:
                 if not args.example or args.p is None:

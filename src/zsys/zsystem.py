@@ -12,10 +12,11 @@ collected, and otherwise crosses the letters above c, pushing back what
 x_l x_c = x_c x_l w(c, l) leaves of them.  A crossing changes only the
 letters above c, so each window remembers the result of every crossing it
 has made (the caching idea behind collection from the left: Vaughan-Lee,
-J. Symbolic Comput. 9, 1990).  A crossing involves only the words of the
-pairs between c and its highest letter, so a window widened by one index
-at each end (`widened`) takes the crossings that stay inside the window it
-widens from that window's memo.
+J. Symbolic Comput. 9, 1990).  A crossing reads the table only through the
+words of the pairs (c, l) that it meets, one lookup each, so a window made
+by `reading` from any lookup of crossing words collects on them as they are
+read; the search records those reads to memoise its overlap checks on the
+words that each one actually reads (`analysis`).
 
 When no letter of any word is an endpoint of a pair, every word is central
 and a crossing leaves the letters above c in place: x_c^e then crosses in
@@ -41,6 +42,9 @@ class CapExceeded(RuntimeError):
 
 
 DEFAULT_CAP = 100_000
+
+# the error of collection on a table whose words are not strictly interior
+NOT_INTERIOR = "comm table is not strictly interior; collection undefined"
 
 # entries past which a fold empties its window's crossing memo: a long run on
 # a wide non-central window keeps meeting new crossings (about 300,000 in
@@ -98,9 +102,24 @@ class WindowGroup:
         # (c, letters above c) -> the letters above c once one x_c crossed
         # them, emptied past CROSSING_LIMIT entries
         self._crossings = {}
-        # for a window made by `widened`: the window on [lo + 1, hi - 1]
-        # whose crossings this one shares
-        self._inner = None
+
+    @classmethod
+    def reading(cls, p: int, lo: int, hi: int, cross) -> "WindowGroup":
+        """A window on [lo, hi] that collects through the crossing words
+        `cross`: anything with dict's `get`, mapping a position pair (c, l)
+        to the ascending (position, exponent) letters of w(lo + c, lo + l).
+        Nothing is checked or normalised: the caller guarantees a prime p and
+        normalised, strictly interior words.  The window always takes the
+        generic fold, so every word a product needs is looked up in `cross`,
+        and its crossing memo starts empty.  It has no `comm` table: only the
+        products and `overlap_violation` are meant for it."""
+        wg = cls.__new__(cls)
+        wg.p, wg.lo, wg.hi, wg.width = p, lo, hi, hi - lo + 1
+        wg.comm = None
+        wg._interior_ok, wg._central = True, False
+        wg._cross, wg._crossings = cross, {}
+        wg.identity_vec = (0,) * wg.width
+        return wg
 
     # -- basic structure ---------------------------------------------------
 
@@ -174,7 +193,7 @@ class WindowGroup:
         """Collect the position-indexed letters x_c^e of the stack (top last,
         0 < e < p) onto the normal form vec, in place."""
         if not self._interior_ok:
-            raise ValueError("comm table is not strictly interior; collection undefined")
+            raise ValueError(NOT_INTERIOR)
         p = self.p
         if self._central:
             above = self._above
@@ -204,22 +223,7 @@ class WindowGroup:
             vec[c] = (vec[c] + e) % p
 
     def _crossing(self, c: int, above: tuple) -> tuple:
-        """The letters above c once one x_c has moved left past `above`.
-
-        On a widened window a crossing of a letter at or above lo + 1 past
-        letters none of which is at hi stays inside the inner window, whose
-        table is the restriction: it is that window's crossing one position
-        down, read from and kept in the inner window's memo."""
-        inner = self._inner
-        if inner is not None and c and not above[-1]:
-            crossings = inner._crossings
-            if len(crossings) > CROSSING_LIMIT:
-                crossings.clear()
-            key = (c - 1, above[:-1])
-            got = crossings.get(key)
-            if got is None:
-                got = crossings[key] = inner._crossing(*key)
-            return got + (0,)
+        """The letters above c once one x_c has moved left past `above`."""
         cross = self._cross
         out = []
         for l, e in enumerate(above, c + 1):
@@ -289,15 +293,6 @@ class WindowGroup:
         if not support:
             return NfStats(math.inf, -math.inf, 0)
         return NfStats(support[0], support[-1], support[-1] - support[0] + 1)
-
-    def widened(self, comm) -> "WindowGroup":
-        """The window on [lo - 1, hi + 1] with the table `comm`, whose
-        restriction to [lo, hi] must be this window's table (the caller
-        checks it).  The widened window shares this window's crossings: a
-        crossing inside [lo, hi] collects through the restriction only."""
-        wider = WindowGroup(self.p, self.lo - 1, self.hi + 1, comm)
-        wider._inner = self
-        return wider
 
     # -- serialization -----------------------------------------------------
 
@@ -432,9 +427,11 @@ def overlap_violation(wg: WindowGroup, checks=None):
     x_j x_i) collects words whose letters stay in [i, k], rewriting only
     through the words of pairs inside [i, k], and collection commutes with
     translating every index.  So its outcome is fixed by p, the check minus
-    i, and the sub-table on [i, k] moved to 0; the search keeps the outcomes
-    in a memo of its own on that ground (`analysis`), and this test keeps
-    none."""
+    i, and the sub-table on [i, k] moved to 0, and indeed by the words of
+    that sub-table that collection looks up.  The search runs a check it has
+    not decided on such a sub-window made by `WindowGroup.reading`, records
+    the words the run reads, and keeps the outcome in a decision tree on
+    them (`analysis`); this test keeps no memo."""
     p, lo, hi = wg.p, wg.lo, wg.hi
     if checks is None:
         checks = overlap_checks(lo, hi)

@@ -165,6 +165,35 @@ def test_cutoff_table_scan_stops_at_the_window_span():
         assert lower_cutoff(wg, 10**18) == lower_cutoff(wg, max(wg.hi - wg.lo, 1))
 
 
+def test_cutoff_builds_each_matrix_generator_once(monkeypatch):
+    # the matrix scan forms [u_n, u_(n + d)] for n in (0, 1) at each distance
+    # d, in that order, from generators built once each: u_0 .. u_(bound + 1)
+    ex = make_example("standard", 3)
+    build, commutator = ex.u, analysis.mat_commutator
+    built, index, formed = [], {}, []
+
+    def u(k, e):
+        matrix = build(k, e)
+        built.append(k)
+        index[id(matrix)] = k
+        return matrix
+
+    def counted(a, b):
+        formed.append((index[id(a)], index[id(b)]))
+        return commutator(a, b)
+
+    monkeypatch.setattr(ex, "u", u)
+    monkeypatch.setattr(analysis, "mat_commutator", counted)
+    assert lower_cutoff(ex, 10) == (None, None)
+    assert built == list(range(12))
+    assert formed == [(n, n + d) for d in range(1, 11) for n in (0, 1)]
+    unitary_ex = make_example("unitary", 3)
+    build, built, formed = unitary_ex.u, [], []
+    monkeypatch.setattr(unitary_ex, "u", u)
+    assert lower_cutoff(unitary_ex, 10) == (2, (0, 2))
+    assert built == [0, 1, 2] and formed == [(0, 1), (1, 2), (0, 2)]
+
+
 def test_cutoff_budget_bounds_the_matrix_commutators(monkeypatch):
     # two commutators per distance: a bound of half the budget is the largest
     # admitted, and the next one is refused before the first commutator
@@ -516,9 +545,9 @@ def test_word_choices_match_filter_definition():
 
 
 def test_shared_extension_memo_matches_fresh_calls():
-    # one orbit memo, warmed on the tables of another window and then
+    # one overlap memo, warmed on the tables of another window and then
     # shared by every certificate below, must not change any answer
-    shared = {}
+    shared = analysis.OverlapMemo()
     for item in search_tables(3, -1, 2, 1):
         extendable(WindowGroup.from_json_dict(item["table"]), 1, 1, memo=shared)
     warm = len(shared)
@@ -546,10 +575,10 @@ def test_search_memo_limit_changes_nothing(monkeypatch):
 
 
 def test_overlap_memo_matches_plain_test():
-    # one orbit memo shared by every sweep, each run forward and then
+    # one overlap memo shared by every sweep, each run forward and then
     # reversed; every decision must be that of the overlap test, which keeps
     # no memo
-    memo = {}
+    memo = analysis.OverlapMemo()
     sweeps = [(2, 0, 4, 1), (3, 0, 3, 1), (3, -1, 2, 1), (3, 0, 3, 2), (5, 0, 3, 1)]
     sizes = []
     for p, lo, hi, support_bound in sweeps:

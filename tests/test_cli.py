@@ -41,6 +41,25 @@ def test_cutoff_unitary_witness(capsys):
     assert json.loads(out) == {"cutoff": 2, "witness": [0, 2]}
 
 
+def test_cutoff_scans_the_window_when_given(tmp_path, capsys):
+    # with --window the window derived from the example is scanned, as
+    # `cutoff --table` scans the table that `derive` prints: [0, 1] holds no
+    # pair at distance 2, and on [1, 4] the first one is (2, 4)
+    expected = {("0", "1"): {"cutoff": "abelian-within-bound"},
+                ("1", "4"): {"cutoff": 2, "witness": [2, 4]}}
+    for window, payload in expected.items():
+        source = ("--example", "unitary", "--p", "3", "--window", *window)
+        code, out, _ = run_cli(capsys, "cutoff", *source, "--bound", "5")
+        assert (code, json.loads(out)) == (0, payload)
+        _, derived, _ = run_cli(capsys, "derive", *source)
+        table = tmp_path / "derived.json"
+        table.write_text(derived)
+        assert run_cli(capsys, "cutoff", "--table", str(table), "--bound", "5")[1] == out
+    # without it the matrices are scanned, for pairs at any start
+    code, out, _ = run_cli(capsys, "cutoff", "--example", "unitary", "--p", "3", "--bound", "5")
+    assert (code, json.loads(out)) == (0, {"cutoff": 2, "witness": [0, 2]})
+
+
 def test_cutoff_bound_past_the_window_or_the_budget(tmp_path, capsys):
     # a table holds no pair past hi - lo, so a bound far past it answers at
     # once; a matrix example forms two commutators per distance, and a bound

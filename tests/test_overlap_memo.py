@@ -1,0 +1,120 @@
+"""The decision-tree overlap memo of the search against the overlap test,
+check by check, on drawn shift-invariant tables and extension nodes."""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zsys import analysis
+from zsys.analysis import OverlapMemo, _free_reps, _propagate
+from zsys.zsystem import WindowGroup, overlap_checks, overlap_violation
+
+
+@st.composite
+def word(draw, p, i, j):
+    """A strictly interior word for the pair (i, j), of at most two letters."""
+    return draw(st.dictionaries(st.integers(i + 1, j - 1), st.integers(1, p - 1), max_size=2))
+
+
+@st.composite
+def table_families(draw, widths):
+    """Shift-invariant strictly interior tables on one window, at p in (2, 3,
+    5) and a width in `widths`.  Each orbit word is one of two drawn for its
+    representative, so that the tables agree on some orbits and differ on
+    others, as the tables of a search do."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    lo = draw(st.integers(-2, 2))
+    hi = lo + draw(widths) - 1
+    pools = {(i, j): [draw(word(p, i, j)) for _ in range(2)] for i, j in _free_reps(lo, hi)}
+    tables = []
+    for _ in range(draw(st.integers(1, 5))):
+        rep_words = {rep: pool[draw(st.integers(0, 1))] for rep, pool in pools.items()}
+        tables.append(WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words)))
+    return tables
+
+
+def memo_fails(memo, wg, codes, words, planned) -> bool:
+    """The memo's verdict on one planned (parity, shape) check: whether it
+    fails on the table with these orbit codes and words."""
+    return not analysis._checks_pass(memo, wg.p, (planned,), codes, words)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tables=table_families(st.integers(3, 7)))
+def test_tree_memo_matches_overlap_test_check_by_check(tables):
+    # one memo for the whole family, run forward and then reversed, so that
+    # the second pass walks the trees that the first one grew
+    memo = OverlapMemo()
+    for wg in tables + tables[::-1]:
+        codes, words = analysis._orbits(wg)
+        for check in overlap_checks(wg.lo, wg.hi):
+            (planned,) = analysis._plan(wg.lo, [check])
+            expected = overlap_violation(wg, [check]) is not None
+            assert memo_fails(memo, wg, codes, words, planned) == expected, (check, wg.comm)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(tables=table_families(st.integers(5, 7)), data=st.data())
+def test_tree_memo_matches_overlap_test_on_extension_nodes(tables, data):
+    # each table is a widening of its restriction to [lo + 1, hi - 1]; a node
+    # at a level has assigned the new representatives before that level only,
+    # and the others must not be read.  Each planned check of the level is
+    # decided by the memo as the overlap test decides its translate that
+    # starts at lo + s.
+    memo = OverlapMemo()
+    for wg in tables + tables[::-1]:
+        _, new_reps, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
+        level = data.draw(st.integers(0, len(new_reps)))
+        codes, words = analysis._orbits(wg)
+        for i, j in new_reps[level:]:
+            codes[i - wg.lo][j - i], words[i - wg.lo][j - i] = "", None
+        for s, shape in levels[level]:
+            check = tuple(wg.lo + s + k for k in shape)
+            assert check[0] <= wg.hi
+            expected = overlap_violation(wg, [check]) is not None
+            assert memo_fails(memo, wg, codes, words, (s, shape)) == expected, (check, wg.comm)
+        expected = all(
+            overlap_violation(wg, [tuple(wg.lo + s + k for k in shape)]) is None
+            for s, shape in levels[level]
+        )
+        assert analysis._checks_pass(memo, wg.p, levels[level], codes, words) == expected
+
+
+def test_tree_memo_grows_on_reads():
+    # a check on x_2 x_1 x_0 reads the word of the pair (0, 2) only, so its
+    # tree has one node with a branch per word met, and a table that agrees
+    # on that word is decided without a run
+    memo = OverlapMemo()
+    wg = WindowGroup(3, 0, 2, {(0, 2): {1: 1}})
+    codes, words = analysis._orbits(wg)
+    assert not memo_fails(memo, wg, codes, words, (0, (2, 1, 0)))
+    assert memo.trees == {3: {(2, 1, 0): (0, 2, {codes[0][2]: False})}}
+    wider = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (2, 4): {3: 1}, (1, 3): {2: 2}})
+    codes, words = analysis._orbits(wider)
+    assert not memo_fails(memo, wider, codes, words, (0, (2, 1, 0)))
+    assert len(memo) == 1
+
+
+def test_conflicting_reads_raise_and_change_nothing():
+    memo = OverlapMemo()
+    shape = (3, 1, 0)
+    memo.insert(3, shape, [(0, 2, "a"), (1, 2, "b")], True)
+    memo.insert(3, shape, [(0, 2, "a"), (1, 2, "c")], False)
+    memo.insert(3, shape, [(0, 2, "x")], False)
+    tree = (0, 2, {"a": (1, 2, {"b": True, "c": False}), "x": False})
+    assert memo.trees == {3: {shape: tree}} and len(memo) == 3
+    before = copy.deepcopy(memo.trees)
+    conflicts = [
+        [(1, 2, "a")],  # another slot read first
+        [(0, 2, "a"), (0, 3, "b")],  # another slot read second
+        [(0, 2, "a")],  # the run ends where the tree reads on
+        [(0, 2, "x")],  # a leaf is already there
+        [(0, 2, "x"), (1, 2, "b")],  # the run reads on past a leaf
+    ]
+    for path in conflicts:
+        for failed in (True, False):
+            with pytest.raises(RuntimeError, match="conflict"):
+                memo.insert(3, shape, path, failed)
+            assert memo.trees == before and len(memo) == 3
