@@ -572,10 +572,20 @@ def search_tables(
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
     one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused.  `memo` is an `OverlapMemo` to
-    share; without one the call owns its own."""
+    would certify nothing and is refused.  So is a table that is not
+    shift-invariant: no shift-invariant widening restricts to it, and the
+    widenings built from its orbit representatives would be those of another
+    table.  `memo` is an `OverlapMemo` to share; without one the call owns
+    its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
+    violation = shift_violation(wg, 2)
+    if violation is not None:
+        i, j = violation["pair"]
+        raise ValueError(
+            f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
+            f" differs from the word of ({i + 2}, {j + 2})"
+        )
     if memo is None:
         memo = OverlapMemo()
     for ext in _consistent_extensions(wg, support_bound, memo):

@@ -24,6 +24,12 @@ one step, adding e * e_l * w(c, l) for each letter x_l^(e_l) above c, which
 is what e memoised crossings add.  The fold takes that step on such a
 window and keeps no crossings there.  Multiplication and inversion only feed
 the fold letters, so it is the one multiplication rule.
+
+`closure` enumerates a subgroup by cosets, and forms each coset H r as the
+image of H under one right-multiplication map h -> h r, staged once per
+representative (`WindowGroup.right_mul`).  On a central window h r is affine
+in h, and the map folds r's few letters onto each element of H by the same
+one-step crossing, with no product built per element.
 """
 
 from __future__ import annotations
@@ -194,18 +200,10 @@ class WindowGroup:
         0 < e < p) onto the normal form vec, in place."""
         if not self._interior_ok:
             raise ValueError(NOT_INTERIOR)
-        p = self.p
         if self._central:
-            above = self._above
-            while stack:
-                c, e = stack.pop()
-                for l, word in above[c]:
-                    f = e * vec[l]
-                    if f:
-                        for k, ek in word:
-                            vec[k] = (vec[k] + f * ek) % p
-                vec[c] = (vec[c] + e) % p
+            self._central_fold(vec, reversed(stack))
             return
+        p = self.p
         crossings = self._crossings
         if len(crossings) > CROSSING_LIMIT:
             crossings.clear()
@@ -221,6 +219,23 @@ class WindowGroup:
                 vec[c] += 1
                 e -= 1
             vec[c] = (vec[c] + e) % p
+
+    def _central_fold(self, vec: list, letters):
+        """Collect the position-indexed letters x_c^e (any integer e), in the
+        order given, onto the normal form vec, in place, on a central window:
+        x_c^e adds e * vec[l] * w(c, l) for each pair (c, l) with a word, then
+        e to entry c, each entry reduced mod p as it is written.  No word
+        letter is an endpoint of a pair, so the entries vec[l] read here are
+        never changed by the words that are added."""
+        p, above = self.p, self._above
+        for c, e in letters:
+            if e:
+                for l, word in above[c]:
+                    f = e * vec[l]
+                    if f:
+                        for k, ek in word:
+                            vec[k] = (vec[k] + f * ek) % p
+                vec[c] = (vec[c] + e) % p
 
     def _crossing(self, c: int, above: tuple) -> tuple:
         """The letters above c once one x_c has moved left past `above`."""
@@ -242,10 +257,31 @@ class WindowGroup:
         """Normal form of a * b: b's letters folded onto a."""
         p = self.p
         vec = [v % p for v in a]
-        stack = [(c, r) for c, e in enumerate(b) if (r := e % p)]
-        stack.reverse()
-        self._fold(vec, stack)
+        if self._central:
+            self._central_fold(vec, enumerate(b))
+        else:
+            stack = [(c, r) for c, e in enumerate(b) if (r := e % p)]
+            stack.reverse()
+            self._fold(vec, stack)
         return tuple(vec)
+
+    def right_mul(self, r: tuple):
+        """The map h -> h * r on normal forms h, for `closure` to apply to a
+        whole subgroup.  On a central window h * r is affine in h, and the map
+        folds r's letters, reduced and staged once, onto a copy of h; a vector
+        h that is not a normal form is not reduced first.  On any other window
+        it is the product `mul_vec(h, r)`."""
+        if not self._central:
+            return lambda h: self.mul_vec(h, r)
+        p, fold = self.p, self._central_fold
+        letters = tuple((c, f) for c, e in enumerate(r) if (f := e % p))
+
+        def times_r(h):
+            vec = list(h)
+            fold(vec, letters)
+            return tuple(vec)
+
+        return times_r
 
     def inv_vec(self, a: tuple) -> tuple:
         """Normal form of a^-1: the letters x_c^(-e) of a in descending order,
@@ -360,12 +396,15 @@ def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     Dimino's coset enumeration (Butler, Fundamental Algorithms for
     Permutation Groups, LNCS 559, 1991, section 6).
 
-    The seeds are taken in the given order, and one already in the set is
-    skipped.  A new seed s extends the subgroup H built so far, kept as a
-    list: the coset H s is added, then for every coset representative r and
-    every seed g taken so far, the coset H (r g) is added when r g is new.
-    So each element costs one product, and each representative one product
-    per seed.
+    The seeds are reduced mod p and taken in the given order, and one already
+    in the set is skipped.  A new seed s extends the subgroup H built so far,
+    kept as a list: the coset H s is added, then for every coset
+    representative r and every seed g taken so far, the coset H (r g) is
+    added when r g is new.  A coset H r is the image of H under the one
+    right-multiplication map h -> h r (`WindowGroup.right_mul`), staged once
+    per representative; on a central window it folds the few letters of r
+    onto each h, and on any other it is one product per element.  Each
+    representative costs one product per seed.
 
     Precondition: the window is a group, that is the table is consistent
     (`overlap_violation` finds no witness).  A coset is added without a
@@ -373,23 +412,25 @@ def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     on an inconsistent table the result may differ from the monoid closure.
 
     Raises CapExceeded when the subgroup has more than `cap` elements
-    (DEFAULT_CAP when None), as soon as its cap + 1st element is added."""
+    (DEFAULT_CAP when None), once the coset holding its cap + 1st element is
+    added."""
     cap = DEFAULT_CAP if cap is None else cap
-    mul = wg.mul_vec
+    p, mul = wg.p, wg.mul_vec
     elements = [wg.identity_vec]
     seen = {wg.identity_vec}
     gens = []
 
     def add_coset(subgroup, rep):
         # subgroup[0] is the identity, so the coset starts at rep itself
-        for k, h in enumerate(subgroup):
-            w = mul(h, rep) if k else rep
-            seen.add(w)
-            if len(seen) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap} (at {len(seen)} elements)")
-            elements.append(w)
+        coset = [rep]
+        coset += map(wg.right_mul(rep), subgroup[1:])
+        seen.update(coset)
+        if len(seen) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap} (at {cap + 1} elements)")
+        elements.extend(coset)
 
     for s in seed_vecs:
+        s = tuple(v % p for v in s)
         if s in seen:
             continue
         gens.append(s)

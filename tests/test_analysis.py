@@ -470,7 +470,8 @@ def test_extensions_of_a_table_that_is_not_shift_invariant():
     # each orbit is anchored on its first translate in the window, so the
     # widenings are those of the table that these translates spread to; the
     # crossings of its nodes come from a window of that table, not from the
-    # window of the table given
+    # window of the table given; so `extendable`, whose certificate would be
+    # that of the other table, refuses it and names the first pair that moves
     wg = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}})
     spread = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}, (2, 4): {3: 2}})
     assert overlap_violation(wg) is None and overlap_violation(spread) is None
@@ -480,7 +481,11 @@ def test_extensions_of_a_table_that_is_not_shift_invariant():
     for wider in found:
         inner = {(i, j): w for (i, j), w in wider.comm.items() if 0 <= i and j <= 4}
         assert inner == spread.comm and overlap_violation(wider) is None
-    assert extendable(wg, 1, 2) == extendable(spread, 1, 2)
+    assert shift_violation(spread, 2) is None and extendable(spread, 1, 1)
+    lone = WindowGroup(3, 0, 4, {(0, 2): {1: 1}})
+    for table, depth in itertools.product((wg, lone), (1, 2)):
+        with pytest.raises(ValueError, match=r"not shift-invariant: the word of \(0, 2\)"):
+            extendable(table, 1, depth)
 
 
 def shift_invariant_windows(p, lo, hi, support_bound):

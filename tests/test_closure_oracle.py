@@ -5,7 +5,14 @@ it multiplies every element found by every seed until nothing new appears.
 It does not rest on associativity, so on a group it is the subgroup
 generated by the seeds.  `closure` presumes a group, so the tables drawn
 here are consistent: the search tables at p = 2 and p = 3, central and not,
-and random central tables that pass the overlap test.
+random central tables that pass the overlap test, and the central unitary
+window at p = 3 on [0, 7].
+
+`closure` forms each coset as the image of the subgroup under
+`WindowGroup.right_mul`, which on a central window folds the letters of the
+representative onto each element without a product; it is checked here
+against `mul_vec`, and against the generic fold of a window that `reading`
+makes from the same crossing words.
 """
 
 import functools
@@ -16,7 +23,15 @@ from hypothesis import strategies as st
 from test_collect_oracle import central_tables
 
 from zsys.analysis import search_tables
-from zsys.zsystem import DEFAULT_CAP, CapExceeded, WindowGroup, closure, overlap_violation
+from zsys.matgroup import make_example
+from zsys.zsystem import (
+    DEFAULT_CAP,
+    CapExceeded,
+    WindowGroup,
+    closure,
+    derive_window,
+    overlap_violation,
+)
 
 
 def bfs_closure(wg, seed_vecs, cap=None) -> set:
@@ -67,7 +82,8 @@ def test_closure_matches_bfs(data):
         wg = data.draw(central_tables())
         # at most 729 elements, so that the oracle stays quick
         assume(wg.order <= 3**6 and overlap_violation(wg) is None)
-    vector = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
+    # seeds need not be normal forms: closure reduces them mod p
+    vector = st.tuples(*[st.integers(-wg.p, 2 * wg.p)] * wg.width)
     letters = [wg.gen_vec(i) for i in wg.indices()] + [wg.identity_vec]
     seeds = data.draw(st.lists(st.sampled_from(letters) | vector, max_size=5))
     if seeds:
@@ -86,3 +102,67 @@ def test_closure_cap_message():
     assert len(closure(wg, seeds, cap=wg.order)) == wg.order
     with pytest.raises(CapExceeded, match=r"cap 10 \(at 11 elements\)"):
         closure(wg, seeds, cap=10)
+
+
+def test_closure_reduces_its_seeds():
+    # a seed that is not a normal form generates what its normal form does
+    wg = WindowGroup(5, 0, 2, {})
+    assert closure(wg, [(6, 0, 0)]) == {(k, 0, 0) for k in range(5)}
+    assert closure(wg, [(5, 0, -5)]) == {wg.identity_vec}
+
+
+def unitary_window(p, lo, hi):
+    return derive_window(make_example("unitary", p), lo, hi)
+
+
+def test_closure_of_a_central_window_matches_bfs():
+    wg = unitary_window(3, 0, 7)
+    assert wg._central
+    seeds = [wg.gen_vec(i) for i in wg.indices()]
+    whole = closure(wg, seeds)
+    assert len(whole) == wg.order == 6561
+    assert whole == bfs_closure(wg, seeds)
+
+
+def test_closure_cap_inside_a_coset():
+    # the last seed's cosets hold 5^6 = 15625 elements each, so the cap + 1st
+    # element lies inside the fourth coset of the last subgroup
+    wg = unitary_window(5, 0, 6)
+    seeds = [wg.gen_vec(i) for i in wg.indices()]
+    with pytest.raises(CapExceeded) as err:
+        closure(wg, seeds, cap=50_000)
+    assert str(err.value) == "closure exceeded cap 50000 (at 50001 elements)"
+
+
+@functools.lru_cache(maxsize=None)
+def non_central_windows() -> tuple:
+    """The search tables whose window takes the generic fold: the 78 of
+    class 3."""
+    return tuple(wg for wg in searched_windows() if not wg._central)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_right_mul_matches_products(data):
+    # the map is applied to normal forms (closure reduces its seeds, so every
+    # element it forms is one); r need not be one
+    kind = data.draw(st.sampled_from(("central", "non-central", "reading")))
+    if kind == "non-central":
+        wg = data.draw(st.sampled_from(non_central_windows()))
+    else:
+        wg = data.draw(central_tables())
+        assert wg._central
+    if kind == "reading":
+        # the same crossing words, collected by the generic fold
+        generic = WindowGroup.reading(wg.p, wg.lo, wg.hi, wg._cross)
+    normal = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
+    raw = st.tuples(*[st.integers(-2 * wg.p, 2 * wg.p)] * wg.width)
+    hs = [wg.identity_vec] + data.draw(st.lists(normal, min_size=1, max_size=4))
+    rs = [wg.identity_vec] + data.draw(st.lists(normal | raw, min_size=1, max_size=3))
+    for r in rs:
+        times_r = wg.right_mul(r)
+        for h in hs:
+            expected = wg.mul_vec(h, r)
+            assert times_r(h) == expected
+            if kind == "reading":
+                assert generic.right_mul(r)(h) == generic.mul_vec(h, r) == expected
