@@ -4,10 +4,10 @@ shift-invariant closures, lemma property checks, and the exhaustive search
 over shift-invariant commutation tables.
 
 Subgroups are materialized element sets (windows at desk scale are small),
-enumerated by cosets in `zsystem.closure`, so every function here that forms
-a subgroup presumes a consistent table: the search forms them only for
-tables that pass the overlap test, and the CLI refuses the others.  Series
-terms are built from generators: X' is the normal closure of the table words
+enumerated by cosets in `zsystem.closure`, which refuses an inconsistent
+table, and so does every function here that forms a subgroup; the search
+stores its overlap outcome on each window it builds.  Series terms are built
+from generators: X' is the normal closure of the table words
 (on a consistent table [x_j, x_i] = w(i, j)), and gamma_(k+1) the normal
 closure of the commutators of the generators of gamma_k with the window
 generators; the tests check both against series built from the elements.
@@ -84,7 +84,7 @@ class Subgroup:
 
 def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     """The subgroup generated by the vectors, enumerated by `closure` (coset
-    enumeration, which presumes a consistent table)."""
+    enumeration, which refuses an inconsistent table)."""
     gens = [tuple(v) for v in gen_vecs]
     return Subgroup(wg, gens, closure(wg, gens, cap))
 
@@ -126,8 +126,9 @@ def lower_central_series(wg: WindowGroup, cap=None) -> list:
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     series = [None, derived_subgroup(wg, cap)]  # None for the whole group
     while not series[-1].is_trivial():
+        # unreachable on a group, and closure refuses any other table
         if len(series) > wg.width + 2:
-            raise RuntimeError("lower central series does not descend; table is inconsistent")
+            raise RuntimeError("internal error: lower central series does not descend")
         comms = {wg.comm_vec(y, x) for y in series[-1].generators for x in window_gens}
         series.append(normal_closure(wg, sorted(comms - {wg.identity_vec}), cap))
     return series
@@ -220,8 +221,7 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
 
     The two commutator checks read every subgroup they use from one
     `lower_central_series`: bilinearity holds modulo gamma_4 = [X', X, X],
-    and the image [gamma_k, X] of each term is the next term.  A series that
-    does not descend puts its error in both entries.
+    and the image [gamma_k, X] of each term is the next term.
 
     The abelian criterion passes when abelian == unit-shift-invariant, or when
     every noncommuting pair lies at the maximal distance hi - lo (the lower
@@ -246,41 +246,34 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
         entry["odd_start_pairs"] = odd_hit
     checks["cutoff_alternation"] = entry
 
-    try:
-        series = lower_central_series(wg, cap)
-    except CapExceeded:
-        raise
-    except RuntimeError as err:
-        for name in ("commutator_bilinearity", "commutator_image_proper"):
-            checks[name] = {"pass": False, "error": str(err)}
-    else:
-        derived = series[1].sorted_elements()
-        # gamma_4, the trivial last term when the series is shorter
-        gamma4 = series[min(3, len(series) - 1)].elements
-        witness = None
-        for _ in range(trials):
-            y = derived[rng.randrange(len(derived))]
-            y2 = derived[rng.randrange(len(derived))]
-            x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
-            lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
-            base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
-            if wg.mul_vec(wg.inv_vec(base), lhs) not in gamma4:
-                witness = {"y": list(y), "y2": list(y2), "x": list(x)}
-                break
-        checks["commutator_bilinearity"] = report_entry(witness, trials=trials)
+    series = lower_central_series(wg, cap)
+    derived = series[1].sorted_elements()
+    # gamma_4, the trivial last term when the series is shorter
+    gamma4 = series[min(3, len(series) - 1)].elements
+    witness = None
+    for _ in range(trials):
+        y = derived[rng.randrange(len(derived))]
+        y2 = derived[rng.randrange(len(derived))]
+        x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
+        lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
+        base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
+        if wg.mul_vec(wg.inv_vec(base), lhs) not in gamma4:
+            witness = {"y": list(y), "y2": list(y2), "x": list(x)}
+            break
+    checks["commutator_bilinearity"] = report_entry(witness, trials=trials)
 
-        witness = next(
-            (
-                {"term_order": term.order, "image_order": image.order}
-                for term, image in zip(series[1:], series[2:])
-                if not image.elements < term.elements
-            ),
-            None,
-        )
-        # the whole group itself also shrinks: [X, X] is proper
-        if witness is None and series[1].order >= wg.order:
-            witness = {"term_order": wg.order, "image_order": series[1].order}
-        checks["commutator_image_proper"] = report_entry(witness)
+    witness = next(
+        (
+            {"term_order": term.order, "image_order": image.order}
+            for term, image in zip(series[1:], series[2:])
+            if not image.elements < term.elements
+        ),
+        None,
+    )
+    # the whole group itself also shrinks: [X, X] is proper
+    if witness is None and series[1].order >= wg.order:
+        witness = {"term_order": wg.order, "image_order": series[1].order}
+    checks["commutator_image_proper"] = report_entry(witness)
 
     abelian = wg.is_abelian()
     unit_shift = single_shift_extends(wg)
@@ -532,7 +525,8 @@ def search_tables(
     below 1 would certify nothing and is refused.  Each candidate is built
     into its WindowGroup, and its consistency is decided through the overlap
     memo (`_checks_pass`), from the codes and letters of its representative
-    words, which are cached with the word choices.  The call owns one memo
+    words, which are cached with the word choices; a window that passes
+    keeps that outcome, no `overlap_witness`.  The call owns one memo
     for its candidates and their certificates, emptied between candidates
     and at the backtracking nodes of a certificate once it holds more than
     MEMO_LIMIT leaves; the memo is a cache, so no result depends on it.
@@ -562,6 +556,7 @@ def search_tables(
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
         if not _checks_pass(memo, p, plan, codes, words):
             continue
+        wg.overlap_witness = None
         cls = nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth, memo)
         if len(memo) > MEMO_LIMIT:
@@ -572,20 +567,11 @@ def search_tables(
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
     one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused.  So is a table that is not
-    shift-invariant: no shift-invariant widening restricts to it, and the
-    widenings built from its orbit representatives would be those of another
-    table.  `memo` is an `OverlapMemo` to share; without one the call owns
-    its own."""
+    would certify nothing and is refused, and so is a table that is not
+    shift-invariant (`_consistent_extensions`).  `memo` is an `OverlapMemo`
+    to share; without one the call owns its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
-    violation = shift_violation(wg, 2)
-    if violation is not None:
-        i, j = violation["pair"]
-        raise ValueError(
-            f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
-            f" differs from the word of ({i + 2}, {j + 2})"
-        )
     if memo is None:
         memo = OverlapMemo()
     for ext in _consistent_extensions(wg, support_bound, memo):
@@ -635,10 +621,21 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     without `memo`).  A node empties the memo first if it holds more than
     MEMO_LIMIT leaves.
 
-    Every orbit that meets the window is anchored on the word of its first
-    translate there.  A node is decided from the codes and letters of the
-    orbit words alone, and only a leaf that is yielded is built into a
-    window."""
+    A table that is not shift-invariant is refused: no shift-invariant
+    widening restricts to it, and the widenings built from its orbit
+    representatives would be those of another table.  Every orbit that meets
+    the window is anchored on the word of its first translate there.  A node
+    is decided from the codes and letters of the orbit words alone, and only
+    a leaf that is yielded is built into a window.  A leaf restricts to the
+    table, and its other overlaps passed, so it has no `overlap_witness`
+    when the table has none."""
+    violation = shift_violation(wg, 2)
+    if violation is not None:
+        i, j = violation["pair"]
+        raise ValueError(
+            f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
+            f" differs from the word of ({i + 2}, {j + 2})"
+        )
     p, lo, hi = wg.p, wg.lo, wg.hi
     lo2, hi2 = lo - 1, hi + 1
     anchored, new_reps, levels = _extension_plan(lo, hi)
@@ -664,7 +661,10 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
         if not _checks_pass(memo, p, levels[idx], codes, words):
             return
         if idx == len(new_reps):
-            yield WindowGroup(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
+            ext = WindowGroup(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
+            if wg.overlap_witness is None:
+                ext.overlap_witness = None
+            yield ext
             return
         rep = new_reps[idx]
         s, d = rep[0] - lo2, rep[1] - rep[0]

@@ -4,8 +4,10 @@ Subcommands map one-to-one onto module operations; all output is JSON on
 stdout (JSON lines for `search`).  Exit codes: 0 when every requested check
 passes, 1 when a check fails (the JSON carries witnesses), 2 for usage,
 malformed-input, or resource errors.  `class`, `lemmas` and `shiftinv`
-compute subgroups, which needs a group: they refuse a window whose table is
-inconsistent with exit 2, where `axioms` reports the witness.  Identical
+compute subgroups, which needs a group: `zsystem.closure` refuses an
+inconsistent table, and they exit 2, where `axioms` reports the witness.
+They, `axioms` and `search` form closures, and only they take `--cap` or
+read ZSYS_CLOSURE_CAP.  Identical
 invocations produce byte-identical payloads; wall-clock timings, when
 present, live in a separate "timings" field.
 """
@@ -35,7 +37,7 @@ NEGATIVE_LETTER = re.compile(r"-\d+:")
 def _closure_cap(args) -> int:
     """The --cap value, else ZSYS_CLOSURE_CAP, else the default; a cap that is
     not a positive integer is a usage error."""
-    cap, source = getattr(args, "cap", None), "--cap"
+    cap, source = args.cap, "--cap"
     if cap is None:
         raw = os.environ.get(CAP_ENV)
         if raw is None:
@@ -56,7 +58,6 @@ def _add_source_args(sub):
     sub.add_argument(
         "--window", nargs=2, type=int, metavar=("LO", "HI"), help="generator index window"
     )
-    sub.add_argument("--cap", type=int, default=None, help="closure element cap")
 
 
 def _load_window(args) -> WindowGroup:
@@ -73,16 +74,6 @@ def _load_window(args) -> WindowGroup:
         raise ValueError("--window LO HI is required with --example")
     lo, hi = args.window
     return derive_window(make_example(args.example, args.p), lo, hi)
-
-
-def _load_group(args) -> WindowGroup:
-    """The loaded window, refused unless overlap_violation passes: the
-    subgroup computations enumerate cosets, which presumes a group."""
-    wg = _load_window(args)
-    witness = zsystem.overlap_violation(wg)
-    if witness is not None:
-        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
-    return wg
 
 
 def _resolve(arg: str, options: list):
@@ -188,14 +179,15 @@ def main(argv=None) -> int:
     s.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     s.add_argument("--support-bound", type=int, default=1)
     s.add_argument("--depth", type=int, default=1, help="extension depth to certify")
-    s.add_argument("--cap", type=int, default=None)
+    for name in ("axioms", "class", "lemmas", "shiftinv", "search"):
+        sub.choices[name].add_argument("--cap", type=int, default=None, help="closure element cap")
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_words(argv, sub.choices))
     pretty = args.output == "pretty"
 
     try:
-        cap = _closure_cap(args)
+        cap = _closure_cap(args) if "cap" in vars(args) else None
 
         if args.command == "derive":
             wg = _load_window(args)
@@ -211,12 +203,12 @@ def main(argv=None) -> int:
             return 0 if report["pass"] else 1
 
         if args.command == "class":
-            wg = _load_group(args)
+            wg = _load_window(args)
             _emit({"class": analysis.nilpotency_class(wg, cap)}, pretty)
             return 0
 
         if args.command == "lemmas":
-            wg = _load_group(args)
+            wg = _load_window(args)
             t0 = time.perf_counter()
             report = analysis.lemma_checks(wg, cap, trials=args.trials, seed=args.seed)
             report["timings"] = {"seconds": time.perf_counter() - t0}
@@ -253,7 +245,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "shiftinv":
-            wg = _load_group(args)
+            wg = _load_window(args)
             a = wg.collect(_parse_word(args.a))
             b = wg.collect(_parse_word(args.b))
             sub_group, info = analysis.shift_invariant_closure(wg, a, b, cap)

@@ -34,6 +34,7 @@ one-step crossing, with no product built per element.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -139,6 +140,12 @@ class WindowGroup:
 
     def is_abelian(self) -> bool:
         return not self.comm
+
+    @functools.cached_property
+    def overlap_witness(self):
+        """`overlap_violation(self)`, None on a consistent table: computed on
+        first use and kept; the search stores the outcome its memo decided."""
+        return overlap_violation(self)
 
     def zs5_ok(self):
         """None if every word is strictly interior, else a witness triple."""
@@ -406,14 +413,16 @@ def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     onto each h, and on any other it is one product per element.  Each
     representative costs one product per seed.
 
-    Precondition: the window is a group, that is the table is consistent
-    (`overlap_violation` finds no witness).  A coset is added without a
-    membership test, which is exact only when multiplication is associative;
-    on an inconsistent table the result may differ from the monoid closure.
+    A coset is added without a membership test, which is exact only on a
+    group: a window with an `overlap_witness` raises ValueError("table is
+    inconsistent: <kind> at <indices>") before any product.
 
     Raises CapExceeded when the subgroup has more than `cap` elements
     (DEFAULT_CAP when None), once the coset holding its cap + 1st element is
     added."""
+    witness = wg.overlap_witness
+    if witness is not None:
+        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
     cap = DEFAULT_CAP if cap is None else cap
     p, mul = wg.p, wg.mul_vec
     elements = [wg.identity_vec]
@@ -529,13 +538,9 @@ def verify_zs_axioms(wg: WindowGroup, cap: int | None = None) -> dict:
     entries, never exceptions.
 
     ZS2/ZS6 is decided by the overlap test: the table is consistent iff
-    overlap_violation finds no witness, and then the order is p^width.  Below
-    the cap the closure of the window generators is counted as well, and the
-    entry reports that count with method "exhaustive".  The count confirms
-    the order; it cannot refute consistency, since on every strictly interior
-    table, consistent or not, it reaches all p^width vectors: appending x_i^e
-    to a normal form whose letters all lie below i is a product that lands
-    without a crossing."""
+    the window has no overlap witness, and then the order is p^width.  On a
+    consistent table below the cap the closure of the window generators is
+    counted as well; the entry reports that count with method "exhaustive"."""
     cap = DEFAULT_CAP if cap is None else cap
     zs5_witness = wg.zs5_ok()
     if zs5_witness is None:
@@ -546,7 +551,7 @@ def verify_zs_axioms(wg: WindowGroup, cap: int | None = None) -> dict:
                 zs4_witness = {"index": i}
                 break
         zs4 = report_entry(zs4_witness)
-        witness = overlap_violation(wg)
+        witness = wg.overlap_witness
         entry = {"expected": wg.order}
         if witness is not None:
             entry["pass"] = False

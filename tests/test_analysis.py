@@ -26,6 +26,7 @@ from zsys.analysis import (
 from zsys.matgroup import make_example
 from zsys.zsystem import (
     WindowGroup,
+    closure,
     derive_window,
     overlap_violation,
     shift_violation,
@@ -238,10 +239,16 @@ def test_lemma_checks_pass_on_standard():
     assert rep["checks"]["cutoff_alternation"]["cutoff"] is None
 
 
+# consistent, invariant under the unit shift, nonabelian, and with noncommuting
+# pairs (0, 4) and (1, 5) at the cutoff distance 4 < hi - lo
+UNIT_SHIFT_TABLE = WindowGroup(2, 0, 5, {(0, 4): {2: 1}, (1, 5): {3: 1}})
+
+
 def test_lemma_checks_flag_unit_shift_nonabelian_table():
     # shift-by-1-invariant yet nonabelian: the abelian criterion must fail,
     # flagging a table that cannot come from a Z-system
-    wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (1, 3): {2: 1}, (2, 4): {3: 1}})
+    wg = UNIT_SHIFT_TABLE
+    assert overlap_violation(wg) is None
     rep = lemma_checks(wg)
     assert not rep["checks"]["abelian_iff_unit_shift"]["pass"]
     assert not rep["pass"]
@@ -263,34 +270,37 @@ def test_lemma_checks_pass_vacuous_boundary_window():
     assert "vacuous_at_boundary" not in lemma_checks(unitary(3, 0, 5))["checks"]["abelian_iff_unit_shift"]
 
 
-def test_lemma_checks_report_on_an_inconsistent_table():
-    # the series of this table does not descend, and both commutator checks
-    # read the series, so both carry its error
+def test_subgroup_entry_points_refuse_an_inconsistent_table():
+    # every function that forms a subgroup goes through closure, which refuses
+    # the table by its overlap witness before any product
     wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (1, 3): {2: 1}, (2, 4): {3: 1}})
-    error = {"pass": False, "error": "lower central series does not descend; table is inconsistent"}
-    assert lemma_checks(wg) == {
-        "p": 2,
-        "lo": 0,
-        "hi": 4,
-        "checks": {
-            "cutoff_alternation": {
-                "pass": False,
-                "cutoff": 2,
-                "even_start_pairs": [(0, 2), (2, 4)],
-                "odd_start_pairs": [(1, 3)],
-            },
-            "commutator_bilinearity": error,
-            "commutator_image_proper": error,
-            "abelian_iff_unit_shift": {"pass": False, "abelian": False, "unit_shift_invariant": True},
-        },
-        "pass": False,
-    }
+    gens = [wg.gen_vec(i) for i in wg.indices()]
+    calls = [
+        lambda: closure(wg, gens),
+        lambda: closure(wg, []),
+        lambda: generate(wg, gens),
+        lambda: normal_closure(wg, gens[:1]),
+        lambda: derived_subgroup(wg),
+        lambda: lower_central_series(wg),
+        lambda: nilpotency_class(wg),
+        lambda: lemma_checks(wg),
+        lambda: shift_invariant_closure(wg, gens[0], gens[1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^table is inconsistent: triple at \[3, 1, 0\]$"):
+            call()
+    # the refusal reads the witness that the axioms report carries
+    assert verify_zs_axioms(wg)["checks"]["ZS2/ZS6"]["witness"]["indices"] == [3, 1, 0]
 
 
 def test_lemma_checks_alternation_fails_when_both_parities_hit():
-    wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (1, 3): {2: 1}, (2, 4): {3: 1}})
-    rep = lemma_checks(wg)
-    assert not rep["checks"]["cutoff_alternation"]["pass"]
+    rep = lemma_checks(UNIT_SHIFT_TABLE)
+    assert rep["checks"]["cutoff_alternation"] == {
+        "pass": False,
+        "cutoff": 4,
+        "even_start_pairs": [(0, 4)],
+        "odd_start_pairs": [(1, 5)],
+    }
 
 
 def test_lemma_checks_deterministic():
@@ -468,24 +478,26 @@ def test_consistent_extensions_contain_derived_widening():
 
 def test_extensions_of_a_table_that_is_not_shift_invariant():
     # each orbit is anchored on its first translate in the window, so the
-    # widenings are those of the table that these translates spread to; the
-    # crossings of its nodes come from a window of that table, not from the
-    # window of the table given; so `extendable`, whose certificate would be
-    # that of the other table, refuses it and names the first pair that moves
+    # widenings built for wg would be those of the table that these
+    # translates spread to; so `_consistent_extensions`, and with it
+    # `extendable`, refuses wg and names the first pair that moves
     wg = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}})
     spread = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}, (2, 4): {3: 2}})
     assert overlap_violation(wg) is None and overlap_violation(spread) is None
     assert shift_violation(wg, 2) is not None
-    found = list(_consistent_extensions(wg, 1))
-    assert found and set(found) == set(_consistent_extensions(spread, 1))
+    found = list(_consistent_extensions(spread, 1))
+    assert found
     for wider in found:
         inner = {(i, j): w for (i, j), w in wider.comm.items() if 0 <= i and j <= 4}
         assert inner == spread.comm and overlap_violation(wider) is None
     assert shift_violation(spread, 2) is None and extendable(spread, 1, 1)
     lone = WindowGroup(3, 0, 4, {(0, 2): {1: 1}})
+    refusal = r"not shift-invariant: the word of \(0, 2\)"
     for table, depth in itertools.product((wg, lone), (1, 2)):
-        with pytest.raises(ValueError, match=r"not shift-invariant: the word of \(0, 2\)"):
+        with pytest.raises(ValueError, match=refusal):
             extendable(table, 1, depth)
+        with pytest.raises(ValueError, match=refusal):
+            next(_consistent_extensions(table, 1))
 
 
 def shift_invariant_windows(p, lo, hi, support_bound):

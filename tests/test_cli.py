@@ -225,10 +225,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad += [["lemmas", *source, "--trials", t] for t in ("0", "-3")]
     for cap in ("0", "-1"):
         bad.append(search + ["--cap", cap])
-        bad.append(["cutoff", "--example", "unitary", "--p", "3", "--bound", "2", "--cap", cap])
-        bad += [[cmd, *source, "--cap", cap] for cmd in ("derive", "axioms", "class", "lemmas")]
-        bad.append(["nf", *source, "--word", "0:1", "--cap", cap])
-        bad.append(["comm", *source, "--left", "0:1", "--right", "2:1", "--cap", cap])
+        bad += [[cmd, *source, "--cap", cap] for cmd in ("axioms", "class", "lemmas")]
         bad.append(["shiftinv", *source, "--a", "0:1", "--b", "1:1", "--cap", cap])
     # a table file whose fields have the wrong types
     malformed = (
@@ -249,6 +246,34 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "class", *source)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "ZSYS_CLOSURE_CAP" in err
+
+
+def test_cap_only_where_a_closure_is_formed(capsys, monkeypatch):
+    # derive, nf, comm and cutoff form no closure: --cap is not an option of
+    # theirs, and a malformed ZSYS_CLOSURE_CAP does not stop them
+    source = ["--example", "unitary", "--p", "3", "--window", "0", "2"]
+    for argv in (
+        ["derive", *source],
+        ["nf", *source, "--word", "0:1"],
+        ["comm", *source, "--left", "0:1", "--right", "2:1"],
+        ["cutoff", "--example", "unitary", "--p", "3", "--bound", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "0"])
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --cap 0" in capsys.readouterr().err
+    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "abc")
+    for argv in (
+        ["rgd", "--example", "standard", "--p", "3", "--K", "1"],
+        ["derive", *source],
+        ["cutoff", *source, "--bound", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)
+    # a command that forms a closure still reads the variable
+    code, out, err = run_cli(capsys, "class", *source)
+    assert (code, out) == (2, "") and "ZSYS_CLOSURE_CAP" in err
 
 
 def test_malformed_table_exit_2(tmp_path, capsys):
@@ -334,6 +359,60 @@ def test_subgroup_commands_never_raise(tmp_path, capsys, wg, data):
             assert out == "" and err.startswith(("error:", "resource error:")), argv
         if overlap_violation(wg) is not None:
             assert code == 2 and err.startswith("error: table is inconsistent:"), argv
+
+
+# moduli for the flags below: primes, numbers that are not prime, and the
+# Mersenne prime 2^61 - 1, past every budget that grows with p; the repeats
+# weight the draws toward runs that get past the input checks
+moduli = st.sampled_from([2, 3, 5, 7, 2**61 - 1, 3, 5, 7, -3, 0, 1, 4, 9])
+
+
+@st.composite
+def other_commands(draw):
+    """argv of derive, nf, comm, axioms, cutoff, rgd or search, each flag
+    drawn in range or out of it, and bounded so that one run takes
+    milliseconds: windows of width at most 4, search support bound at most 1
+    and rgd K at most 2."""
+    command = draw(st.sampled_from(["derive", "nf", "comm", "axioms", "cutoff", "rgd", "search"]))
+    example = ["--example", draw(st.sampled_from(["standard", "unitary"]))]
+    p = ["--p", str(draw(moduli))]
+    lo = draw(st.integers(-2, 2))
+    hi = lo + draw(st.sampled_from([0, 1, 2, 3, 1, 2, 3, -1]))
+    window = ["--window", str(lo), str(hi)]
+    if command == "rgd":
+        return ["rgd", *example, *p, "--K", str(draw(st.integers(1, 2) | st.integers(-1, 0)))]
+    if command == "search":
+        p = ["--p", str(draw(st.sampled_from([2, 3, 5, 2, 3, 5, 7, 2**61 - 1])))]
+        return ["search", *p, *window,
+                "--support-bound", str(draw(st.sampled_from([1, 0, 1, -1]))),
+                "--depth", str(draw(st.sampled_from([1, 2, 1, 2, 0, -1])))]
+    # all three source flags, or now and then all but one
+    missing = draw(st.sampled_from([example, p, window])) if draw(st.integers(0, 7)) == 7 else None
+    argv = [command, *(a for flags in (example, p, window) if flags is not missing for a in flags)]
+    index = st.integers(lo, max(lo, hi)) | st.integers(lo - 1, hi + 1)
+    letter = st.builds("{}:{}".format, index, st.integers(-3, 3))
+    word = st.lists(letter, min_size=1, max_size=3).map(" ".join)
+    if command == "nf":
+        argv += ["--word", draw(word)]
+    if command == "comm":
+        argv += ["--left", draw(word), "--right", draw(word)]
+    if command == "cutoff":
+        argv += ["--bound", str(draw(st.integers(-1, 8) | st.just(5001)))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=other_commands(), pretty=st.booleans())
+def test_other_commands_never_raise(capsys, argv, pretty):
+    # every drawn invocation gives an exit code, never a traceback; a usage,
+    # input or resource error leaves stdout empty
+    code, out, err = run_cli(capsys, *(["--output", "pretty"] if pretty else []), *argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "" and err.startswith(("error:", "resource error:")), (argv, err)
+    else:
+        assert out, argv
 
 
 def test_huge_prime_modulus_answers_quickly(tmp_path, capsys):

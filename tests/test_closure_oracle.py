@@ -3,10 +3,13 @@
 `bfs_closure` is the breadth-first closure that coset enumeration replaced:
 it multiplies every element found by every seed until nothing new appears.
 It does not rest on associativity, so on a group it is the subgroup
-generated by the seeds.  `closure` presumes a group, so the tables drawn
-here are consistent: the search tables at p = 2 and p = 3, central and not,
-random central tables that pass the overlap test, and the central unitary
-window at p = 3 on [0, 7].
+generated by the seeds.  `closure` needs a group, and refuses a table whose
+overlap test finds a witness: every subgroup entry point is checked to
+refuse exactly those tables among random strictly interior ones, and to
+agree with the oracle on the others.  The other tables drawn here are
+consistent: the search tables at p = 2 and p = 3, central and not, random
+central tables that pass the overlap test, and the central unitary window
+at p = 3 on [0, 7].
 
 `closure` forms each coset as the image of the subgroup under
 `WindowGroup.right_mul`, which on a central window folds the letters of the
@@ -20,9 +23,18 @@ import functools
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_collect_oracle import central_tables
+from test_collect_oracle import central_tables, interior_tables
 
-from zsys.analysis import search_tables
+from zsys.analysis import (
+    derived_subgroup,
+    generate,
+    lemma_checks,
+    lower_central_series,
+    nilpotency_class,
+    normal_closure,
+    search_tables,
+    shift_invariant_closure,
+)
 from zsys.matgroup import make_example
 from zsys.zsystem import (
     DEFAULT_CAP,
@@ -93,6 +105,48 @@ def test_closure_matches_bfs(data):
     assert closure(wg, data.draw(st.permutations(seeds))) == expected
     cap = data.draw(st.integers(1, len(expected) + 1))
     assert outcome(closure, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(wg=interior_tables(), data=st.data())
+def test_subgroup_entry_points_refuse_exactly_the_inconsistent_tables(wg, data):
+    vector = st.tuples(*[st.integers(0, wg.p - 1)] * wg.width)
+    seeds = data.draw(st.lists(vector, min_size=1, max_size=3))
+    # subgroups past 729 elements are cut off by CapExceeded, so that the
+    # consistent tables of width 7 stay quick
+    cap = 729
+    entry_points = [
+        lambda: closure(wg, seeds, cap),
+        lambda: generate(wg, seeds, cap),
+        lambda: normal_closure(wg, seeds, cap),
+        lambda: derived_subgroup(wg, cap),
+        lambda: lower_central_series(wg, cap),
+        lambda: nilpotency_class(wg, cap),
+        lambda: lemma_checks(wg, cap, trials=3),
+        lambda: shift_invariant_closure(wg, seeds[0], seeds[-1], cap),
+    ]
+    witness = overlap_violation(wg)
+    for call in entry_points:
+        try:
+            outcome(call)
+        except ValueError as err:
+            assert witness is not None, wg.comm
+            assert str(err) == f"table is inconsistent: {witness['kind']} at {witness['indices']}"
+        else:
+            assert witness is None, wg.comm
+    if witness is None:
+        assert outcome(closure, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
+
+
+def test_closure_refuses_a_table_it_enumerated_wrongly():
+    # coset enumeration without a membership test found 192 of the 243
+    # elements that the breadth-first closure reaches on this table
+    wg = WindowGroup(3, 0, 5, {(0, 3): {1: 2}, (0, 4): {1: 2}, (0, 5): {2: 1},
+                               (1, 4): {2: 1}, (2, 4): {3: 2}})
+    seeds = [(1, 1, 2, 0, 1, 0), (2, 0, 1, 1, 0, 1)]
+    assert len(bfs_closure(wg, seeds)) == 243
+    with pytest.raises(ValueError, match=r"^table is inconsistent: triple at \[4, 1, 0\]$"):
+        closure(wg, seeds)
 
 
 def test_closure_cap_message():

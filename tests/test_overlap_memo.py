@@ -2,13 +2,20 @@
 check by check, on drawn shift-invariant tables and extension nodes."""
 
 import copy
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsys import analysis
-from zsys.analysis import OverlapMemo, _free_reps, _propagate
+from zsys import analysis, zsystem
+from zsys.analysis import (
+    OverlapMemo,
+    _consistent_extensions,
+    _free_reps,
+    _propagate,
+    search_tables,
+)
 from zsys.zsystem import WindowGroup, overlap_checks, overlap_violation
 
 
@@ -118,3 +125,25 @@ def test_conflicting_reads_raise_and_change_nothing():
             with pytest.raises(RuntimeError, match="conflict"):
                 memo.insert(3, shape, path, failed)
             assert memo.trees == before and len(memo) == 3
+
+
+def test_search_runs_the_overlap_test_only_in_its_memo(monkeypatch):
+    # the windows the search builds carry the outcome its memo decided, so
+    # neither the class computation nor a depth-2 certificate runs the test
+    callers = []
+
+    def traced(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return overlap_violation(*args, **kwargs)
+
+    monkeypatch.setattr(zsystem, "overlap_violation", traced)
+    stream = list(search_tables(3, 0, 4, 1, extend_depth=2))
+    assert len(stream) == 199 and callers
+    assert set(callers) == {OverlapMemo.run.__code__}
+    # a widening of a consistent table inherits its outcome
+    wg = WindowGroup.from_json_dict(stream[-1]["table"])
+    assert wg.overlap_witness is None
+    leaves = list(_consistent_extensions(wg, 1))
+    assert leaves
+    for ext in leaves:
+        assert vars(ext)["overlap_witness"] is None and overlap_violation(ext) is None
