@@ -11,6 +11,9 @@ from generators: X' is the normal closure of the table words
 (on a consistent table [x_j, x_i] = w(i, j)), and gamma_(k+1) the normal
 closure of the commutators of the generators of gamma_k with the window
 generators; the tests check both against series built from the elements.
+A normal closure tests normality by those same commutators (v^g lies in H
+exactly when [v, g] does), forms each once and keeps them with its term,
+so the next term starts from them with no product formed again.
 
 The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
@@ -23,10 +26,13 @@ collection looks up.  One `OverlapMemo` keeps the outcomes as a decision
 tree per (p, check shape) on those words.  At a miss the check runs once on
 the sub-window [0, n] read from the orbit words
 (`zsystem.WindowGroup.reading`), and the slots it reads become a path of
-the tree.  The memo serves a whole `search_tables` call, its candidates and
-every certificate under it, so a check that recurs in translate, or on
-tables that differ only in words it does not read, is collected once; a
-direct `extendable` call owns a memo of its own.  Backtracking nodes are
+the tree.  A table is first decided from the leaves the trees already hold,
+so a check that fails there answers before any other check runs; only then
+do the undecided checks run, in plan order.  The memo serves a whole
+`search_tables` call, its candidates and every certificate under it, so a
+check that recurs in translate, or on tables that differ only in words it
+does not read, is collected once; a direct `extendable` call owns a memo
+of its own.  Backtracking nodes are
 decided from their orbit words alone, and only the widenings they yield
 are built into windows.  The exhaustive closure stays in
 `zsystem.verify_zs_axioms`, the `axioms` report.
@@ -52,7 +58,12 @@ CutoffResult = namedtuple("CutoffResult", ["value", "witness"])
 
 
 class Subgroup:
-    """A subgroup of a window group as an explicit, enumerated element set."""
+    """A subgroup of a window group as an explicit, enumerated element set.
+    A subgroup built by `normal_closure` also keeps, as `commutators`, the
+    nontrivial commutators [v, g] of its generators v with the window
+    generators g."""
+
+    commutators = None
 
     def __init__(self, window: WindowGroup, generators, elements):
         self.window = window
@@ -91,20 +102,31 @@ def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
 
 def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation by
-    the window generators (hence by the whole group)."""
+    the window generators (hence by the whole group).
+
+    Normality is tested by commutators: for v in H and a window generator g,
+    v^g = v [v, g] lies in H exactly when [v, g] does, and [v, g] joins the
+    generators when it does not, which spans the same subgroup as v^g.  Each
+    generator's commutators are formed once, in the round that adds it, and
+    the term keeps them all as `commutators`."""
     seeds = [tuple(v) for v in gen_vecs]
     gens = {v for v in seeds if v != wg.identity_vec}
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    comms, fresh = set(), gens
     while True:
         elements = closure(wg, sorted(gens), cap)
         new = set()
-        for v in sorted(gens):
+        for v in sorted(fresh):
             for g in window_gens:
-                w = wg.conj_vec(v, g)
+                w = wg.comm_vec(v, g)
+                comms.add(w)
                 if w not in elements:
                     new.add(w)
         if not new:
-            return Subgroup(wg, sorted(gens), elements)
+            term = Subgroup(wg, sorted(gens), elements)
+            term.commutators = frozenset(comms - {wg.identity_vec})
+            return term
+        fresh = new
         gens |= new
 
 
@@ -122,15 +144,15 @@ def lower_central_series(wg: WindowGroup, cap=None) -> list:
     term stands for the whole group and is not materialized.  Each term
     gamma_(k+1) = [gamma_k, X] is the normal closure of the commutators of
     the generators of gamma_k with the window generators: if N = <S> is
-    normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G."""
-    window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G.  Those
+    commutators are the ones `normal_closure` formed for gamma_k, so none is
+    formed again."""
     series = [None, derived_subgroup(wg, cap)]  # None for the whole group
     while not series[-1].is_trivial():
         # unreachable on a group, and closure refuses any other table
         if len(series) > wg.width + 2:
             raise RuntimeError("internal error: lower central series does not descend")
-        comms = {wg.comm_vec(y, x) for y in series[-1].generators for x in window_gens}
-        series.append(normal_closure(wg, sorted(comms - {wg.identity_vec}), cap))
+        series.append(normal_closure(wg, sorted(series[-1].commutators), cap))
     return series
 
 
@@ -214,6 +236,12 @@ def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
     return sub, info
 
 
+# bilinearity trials past which lemma_checks refuses to run: a trial forms
+# three commutators and four more products or inverses, and 10^5 trials take
+# about 6 s on the unitary p=5 [0, 7] window
+TRIALS_BUDGET = 10**5
+
+
 def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> dict:
     """Window-scale property checks: cutoff alternation, bilinearity of
     commutation modulo the second lower-central term, strict shrinking of
@@ -228,9 +256,12 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     cutoff is hi - lo).  There the unit-shift predicate is vacuously true and
     the window cannot decide the criterion; such an entry carries
     "vacuous_at_boundary": true.  Fewer than one bilinearity trial would
-    check nothing and is refused."""
+    check nothing and is refused; more than TRIALS_BUDGET raise CapExceeded
+    before the series is formed."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > TRIALS_BUDGET:
+        raise CapExceeded(f"{trials} bilinearity trials are past the budget of {TRIALS_BUDGET}")
     rng = random.Random(seed)
     checks = {}
 
@@ -475,11 +506,27 @@ class OverlapMemo:
 
 def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     """Whether every planned check passes on the shift-invariant table with
-    these orbit codes and words (laid out as by `_orbits`): each is decided
-    by walking its tree on the codes, and at a miss by `OverlapMemo.run`."""
+    these orbit codes and words (laid out as by `_orbits`).  Every check is
+    first decided, where it can be, by walking its tree on the codes, and the
+    first failing leaf answers with no check run.  Only then are the checks
+    left undecided run through `OverlapMemo.run`, in plan order, each tree
+    walked again just before its run: the two parities of one shape share a
+    tree, so the run of one may have decided the other."""
     trees = memo.trees.setdefault(p, {})
     rows = ((codes[0], codes[1]), (codes[1], codes[0]))
-    for s0, shape in plan:
+    undecided = []
+    for check in plan:
+        s0, shape = check
+        slots = rows[s0]
+        node = trees.get(shape)
+        while node.__class__ is tuple:
+            s, d, branches = node
+            node = branches.get(slots[s][d])
+        if node is None:
+            undecided.append(check)
+        elif node:
+            return False
+    for s0, shape in undecided:
         slots = rows[s0]
         node = trees.get(shape)
         while node.__class__ is tuple:
@@ -490,16 +537,6 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
         if node:
             return False
     return True
-
-
-def _consistent(wg: WindowGroup, memo: OverlapMemo) -> bool:
-    """Whether the shift-invariant table passes the overlap test, decided
-    through the overlap memo; a table that is not strictly interior raises
-    the collector's ValueError."""
-    if wg.zs5_ok() is not None:
-        raise ValueError(zsystem.NOT_INTERIOR)
-    codes, words = _orbits(wg)
-    return _checks_pass(memo, wg.p, _window_plan(wg.lo, wg.hi), codes, words)
 
 
 # memo leaves past which the search empties its overlap memo, between

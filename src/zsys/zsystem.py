@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import namedtuple
 
 from .laurent import is_prime
@@ -61,7 +62,11 @@ CROSSING_LIMIT = 1 << 16
 
 
 class WindowGroup:
-    """Finite p-group presented on generators x_lo ... x_hi by a commutator table."""
+    """Finite p-group presented on generators x_lo ... x_hi by a commutator table.
+
+    The constructor checks and normalises the table.  The tables that
+    collection reads are built from it on first use, so a window that is
+    never multiplied (most of the candidates of a search) pays for none."""
 
     def __init__(self, p: int, lo: int, hi: int, comm=None):
         if not is_prime(p):
@@ -87,24 +92,6 @@ class WindowGroup:
             if norm:
                 table[(i, j)] = norm
         self.comm = table
-        used = {k for word in table.values() for k in word}
-        self._interior_ok = all(
-            i < k < j for (i, j), word in table.items() for k in word
-        )
-        self._central = self._interior_ok and all(
-            i not in used and j not in used for i, j in table
-        )
-        # position-indexed crossing words as ascending (position, exponent)
-        # letters
-        self._cross = {
-            (i - lo, j - lo): tuple((k - lo, word[k]) for k in sorted(word))
-            for (i, j), word in table.items()
-        }
-        # on a central window, per position c the (l, crossing word) of every
-        # pair (c, l) that has a word
-        self._above = [[] for _ in range(self.width)]
-        for (c, l), word in self._cross.items():
-            self._above[c].append((l, word))
         self.identity_vec = (0,) * self.width
         # (c, letters above c) -> the letters above c once one x_c crossed
         # them, emptied past CROSSING_LIMIT entries
@@ -118,7 +105,8 @@ class WindowGroup:
         Nothing is checked or normalised: the caller guarantees a prime p and
         normalised, strictly interior words.  The window always takes the
         generic fold, so every word a product needs is looked up in `cross`,
-        and its crossing memo starts empty.  It has no `comm` table: only the
+        and its crossing memo starts empty.  It has no `comm` table, so its
+        collection tables are set here rather than built from one: only the
         products and `overlap_violation` are meant for it."""
         wg = cls.__new__(cls)
         wg.p, wg.lo, wg.hi, wg.width = p, lo, hi, hi - lo + 1
@@ -127,6 +115,39 @@ class WindowGroup:
         wg._cross, wg._crossings = cross, {}
         wg.identity_vec = (0,) * wg.width
         return wg
+
+    # -- collection tables, built on first use (`reading` sets them) ---------
+
+    @functools.cached_property
+    def _interior_ok(self) -> bool:
+        """Whether every word is strictly interior, so collection is defined."""
+        return all(i < k < j for (i, j), word in self.comm.items() for k in word)
+
+    @functools.cached_property
+    def _central(self) -> bool:
+        """Whether the window takes the central fold: its words are strictly
+        interior and no word letter is an endpoint of a pair."""
+        used = {k for word in self.comm.values() for k in word}
+        return self._interior_ok and all(i not in used and j not in used for i, j in self.comm)
+
+    @functools.cached_property
+    def _cross(self) -> dict:
+        """Position-indexed crossing words as ascending (position, exponent)
+        letters."""
+        lo = self.lo
+        return {
+            (i - lo, j - lo): tuple((k - lo, word[k]) for k in sorted(word))
+            for (i, j), word in self.comm.items()
+        }
+
+    @functools.cached_property
+    def _above(self) -> list:
+        """On a central window, per position c the (l, crossing word) of every
+        pair (c, l) that has a word."""
+        above = [[] for _ in range(self.width)]
+        for (c, l), word in self._cross.items():
+            above[c].append((l, word))
+        return above
 
     # -- basic structure ---------------------------------------------------
 
@@ -313,10 +334,6 @@ class WindowGroup:
     def comm_vec(self, a: tuple, b: tuple) -> tuple:
         return self.mul_vec(self.inv_vec(self.mul_vec(b, a)), self.mul_vec(a, b))
 
-    def conj_vec(self, a: tuple, b: tuple) -> tuple:
-        """a conjugated by b, i.e. b^-1 a b."""
-        return self.mul_vec(self.inv_vec(b), self.mul_vec(a, b))
-
     def shift_vec(self, a: tuple, k: int) -> tuple:
         """Translate the support by 2k generator indices; an explicit range
         error if the support would leave the window."""
@@ -348,12 +365,18 @@ class WindowGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WindowGroup":
+        """The window of a `to_json_dict` document.  p, lo, hi and the
+        exponents must be integers (a bool is not one), and the indices in
+        the "I,J" pair keys and the word keys decimal integers; anything else
+        raises ValueError("malformed window-group data: ...")."""
         try:
-            p, lo, hi = int(data["p"]), int(data["lo"]), int(data["hi"])
+            p, lo, hi = (_integer(data[name], name) for name in ("p", "lo", "hi"))
             comm = {}
             for key, word in data.get("comm", {}).items():
-                i, j = (int(part) for part in key.split(","))
-                comm[(i, j)] = {int(k): int(e) for k, e in word.items()}
+                i, j = (_decimal(part, "pair key") for part in key.split(","))
+                comm[(i, j)] = {
+                    _decimal(k, "word key"): _integer(e, "exponent") for k, e in word.items()
+                }
         except (KeyError, ValueError, AttributeError, TypeError, OverflowError) as err:
             raise ValueError(f"malformed window-group data: {err}") from err
         return cls(p, lo, hi, comm)
@@ -372,6 +395,20 @@ class WindowGroup:
 
     def __repr__(self):
         return f"WindowGroup(p={self.p}, window=[{self.lo}, {self.hi}], relations={len(self.comm)})"
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer field as it is; anything else, a bool too, is refused."""
+    if value.__class__ is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _decimal(text, name: str) -> int:
+    """The integer spelled by an optional minus sign and decimal digits."""
+    if not (isinstance(text, str) and re.fullmatch("-?[0-9]+", text)):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 # -- deriving windows from the matrix oracles -------------------------------

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from test_series_oracle import commutator_subgroup, derived_series
 
-from zsys import analysis
+from zsys import analysis, zsystem
 from zsys.analysis import (
     CapExceeded,
     _consistent_extensions,
@@ -591,6 +591,16 @@ def test_search_memo_limit_changes_nothing(monkeypatch):
         assert list(search_tables(*args, **kwargs)) == stream
 
 
+def consistent(wg: WindowGroup, memo: analysis.OverlapMemo) -> bool:
+    """Whether the shift-invariant table passes the overlap test, decided
+    through the overlap memo; a table that is not strictly interior raises
+    the collector's ValueError."""
+    if wg.zs5_ok() is not None:
+        raise ValueError(zsystem.NOT_INTERIOR)
+    codes, words = analysis._orbits(wg)
+    return analysis._checks_pass(memo, wg.p, analysis._window_plan(wg.lo, wg.hi), codes, words)
+
+
 def test_overlap_memo_matches_plain_test():
     # one overlap memo shared by every sweep, each run forward and then
     # reversed; every decision must be that of the overlap test, which keeps
@@ -602,7 +612,7 @@ def test_overlap_memo_matches_plain_test():
         windows = list(shift_invariant_windows(p, lo, hi, support_bound))
         results = []
         for wg in windows + windows[::-1]:
-            result = analysis._consistent(wg, memo)
+            result = consistent(wg, memo)
             assert result == (overlap_violation(wg) is None), wg.comm
             results.append(result)
         assert True in results and False in results
@@ -618,6 +628,18 @@ def test_overlap_memo_matches_plain_test():
     with pytest.raises(ValueError) as memoised:
         extendable(bad, 1, 1, memo=memo)
     assert str(memoised.value) == str(plain.value)
+
+
+def test_lemma_trials_budget(monkeypatch):
+    # the benchmark's 2,000 trials fit the budget; past it the checks are
+    # refused before any subgroup is formed
+    assert analysis.TRIALS_BUDGET >= 2000
+    wg = unitary(3, 0, 5)
+    monkeypatch.setattr(analysis, "TRIALS_BUDGET", 3)
+    assert lemma_checks(wg, trials=3)["checks"]["commutator_bilinearity"]["trials"] == 3
+    monkeypatch.setattr(analysis, "closure", lambda *args: pytest.fail("a subgroup was formed"))
+    with pytest.raises(CapExceeded, match="4 bilinearity trials are past the budget of 3"):
+        lemma_checks(wg, trials=4)
 
 
 def test_vacuous_certificates_are_refused():

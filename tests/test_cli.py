@@ -287,6 +287,61 @@ def test_malformed_table_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+GOOD_TABLE = {"p": 3, "lo": 0, "hi": 2, "comm": {"0,2": {"1": 1}}}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"p": 3.9, "lo": 0.7, "hi": 2, "comm": {"0,2": {"1": 1.5}}},
+        {**GOOD_TABLE, "p": 3.0},
+        {**GOOD_TABLE, "lo": 0.7},
+        {**GOOD_TABLE, "hi": 2.0},
+        {**GOOD_TABLE, "comm": {"0,2": {"1": 1.5}}},
+        {**GOOD_TABLE, "comm": {"0,2": {"1": True}}},
+        {**GOOD_TABLE, "p": "3"},
+        {**GOOD_TABLE, "hi": True},
+        {**GOOD_TABLE, "comm": {"0, 2": {"1": 1}}},
+        {**GOOD_TABLE, "comm": {"0,+2": {"1": 1}}},
+        {**GOOD_TABLE, "comm": {"0,2": {"1.0": 1}}},
+        {**GOOD_TABLE, "comm": {"0,2": {" 1": 1}}},
+        {**GOOD_TABLE, "comm": {"0,2": {"0_1": 1}}},
+    ],
+    ids=[
+        "floats-everywhere", "float-p", "float-lo", "float-hi", "float-exponent",
+        "bool-exponent", "string-p", "bool-hi", "spaced-pair-key", "signed-pair-key",
+        "float-word-key", "spaced-word-key", "underscored-word-key",
+    ],
+)
+def test_table_numbers_must_be_integers(tmp_path, capsys, document):
+    # a value or key that is not an integer is refused, not truncated or read
+    # as a number
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "derive", "--table", str(table))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed window-group data")
+
+
+def test_table_with_integer_fields_and_negative_keys_loads(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    for document in (GOOD_TABLE, {"p": 3, "lo": -2, "hi": 0, "comm": {"-2,0": {"-1": 2}}}):
+        table.write_text(json.dumps(document))
+        code, out, _ = run_cli(capsys, "derive", "--table", str(table))
+        assert code == 0 and json.loads(out) == document
+
+
+def test_lemma_trials_past_the_budget_exit_2_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "lemmas", "--example", "unitary", "--p", "5", "--window", "0", "7",
+        "--trials", "1000000000",
+    )
+    assert time.perf_counter() - t0 < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("resource error:") and "budget" in err
+
+
 # every number drawn, spelled out or not, lies in [-3, 5], so a table that
 # loads has p in {2, 3} and at most 3^9 elements
 json_scalars = st.one_of(

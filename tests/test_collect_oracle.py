@@ -188,3 +188,26 @@ def test_crossing_limit_changes_nothing(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(zsystem, "CROSSING_LIMIT", 0)
         assert results(WindowGroup(wg.p, wg.lo, wg.hi, wg.comm)) == expected
+
+
+COLLECTION_TABLES = {"_interior_ok", "_central", "_cross", "_above"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_collection_tables_are_built_on_first_product(data):
+    # a window builds no table that collection reads until its first
+    # product, and then multiplies as one whose tables were built up front
+    drawn = data.draw(interior_tables() | central_tables())
+    fresh = WindowGroup(drawn.p, drawn.lo, drawn.hi, drawn.comm)
+    assert not COLLECTION_TABLES & vars(fresh).keys()
+    forced = WindowGroup(drawn.p, drawn.lo, drawn.hi, drawn.comm)
+    for name in COLLECTION_TABLES:
+        getattr(forced, name)
+    assert COLLECTION_TABLES <= vars(forced).keys()
+    vector = st.tuples(*[st.integers(0, drawn.p - 1)] * drawn.width)
+    for _ in range(3):
+        a, b = data.draw(vector), data.draw(vector)
+        assert fresh.mul_vec(a, b) == forced.mul_vec(a, b)
+        assert fresh.inv_vec(a) == forced.inv_vec(a)
+    assert {"_interior_ok", "_central"} <= vars(fresh).keys()

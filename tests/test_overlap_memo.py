@@ -2,6 +2,7 @@
 check by check, on drawn shift-invariant tables and extension nodes."""
 
 import copy
+import itertools
 import sys
 
 import pytest
@@ -147,3 +148,29 @@ def test_search_runs_the_overlap_test_only_in_its_memo(monkeypatch):
     assert leaves
     for ext in leaves:
         assert vars(ext)["overlap_witness"] is None and overlap_violation(ext) is None
+
+
+def test_a_memo_leaf_that_fails_answers_before_any_run(monkeypatch):
+    # the first planned check is undecided and a later one fails by a leaf
+    # that the memo already holds: the leaf answers, and no check runs
+    found = 0
+    for hi in (3, 4):
+        plan = analysis._window_plan(0, hi)
+        reps = _free_reps(0, hi)
+        for assignment in itertools.product(*[analysis._word_choices(3, i, j, 1) for i, j in reps]):
+            wg = WindowGroup(3, 0, hi, _propagate(0, hi, dict(zip(reps, assignment))))
+            codes, words = analysis._orbits(wg)
+            # a memo that holds the tree of one failing check only, of
+            # another shape than the first check's
+            for planned in plan[1:]:
+                memo = OverlapMemo()
+                if planned[1] != plan[0][1] and memo_fails(memo, wg, codes, words, planned):
+                    break
+            else:
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(zsystem, "overlap_violation", lambda *args: pytest.fail("a check ran"))
+                assert not analysis._checks_pass(memo, 3, plan, codes, words)
+            assert memo.leaves == 1
+            found += 1
+    assert found

@@ -16,7 +16,9 @@ overlap test.
 """
 
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_closure_oracle import outcome, searched_windows
@@ -33,7 +35,7 @@ from zsys.analysis import (
     normal_closure,
     single_shift_extends,
 )
-from zsys.zsystem import CapExceeded, closure, overlap_violation
+from zsys.zsystem import CapExceeded, WindowGroup, closure, overlap_violation
 
 
 def commutator_normal_closure(wg, a_vecs, b_vecs, cap=None) -> Subgroup:
@@ -233,6 +235,47 @@ def test_series_match_oracle_on_central_tables(data):
     assert outcome(lambda: derived_subgroup(wg, cap).elements) == outcome(
         lambda: oracle_derived_subgroup(wg, cap).elements
     )
+
+
+def check_commutators_formed_once(wg):
+    """The series forms [v, g] once for each generator v of each term and
+    each window generator g, and inverts nothing but inside those
+    commutators: it forms no conjugate."""
+    calls, inverses = Counter(), []
+    comm_vec, inv_vec = WindowGroup.comm_vec, WindowGroup.inv_vec
+
+    def counted_comm(self, a, b):
+        calls[(a, b)] += 1
+        return comm_vec(self, a, b)
+
+    def counted_inv(self, a):
+        inverses.append(a)
+        return inv_vec(self, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(WindowGroup, "comm_vec", counted_comm)
+        mp.setattr(WindowGroup, "inv_vec", counted_inv)
+        series = lower_central_series(wg)
+    window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    expected = Counter((v, g) for term in series[1:] for v in term.generators for g in window_gens)
+    assert calls == expected, wg.comm
+    assert len(inverses) == sum(calls.values()), wg.comm
+    assert [t.elements for t in series[1:]] == [
+        t.elements for t in oracle_lower_central_series(wg)[1:]
+    ], wg.comm
+
+
+def test_series_commutators_formed_once_on_search_tables():
+    for wg in searched_windows()[::3]:
+        check_commutators_formed_once(wg)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_series_commutators_formed_once_on_central_tables(data):
+    wg = data.draw(central_tables())
+    assume(wg.order <= 3**6 and overlap_violation(wg) is None)
+    check_commutators_formed_once(wg)
 
 
 def test_cap_outcome_on_search_tables():
