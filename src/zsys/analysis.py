@@ -387,19 +387,6 @@ def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
     return table
 
 
-def _orbits(wg: WindowGroup) -> tuple:
-    """(codes, words): codes[s][d] and words[s][d] are the `_coded` code and
-    letters of the word of the pair (lo + s, lo + s + d), for s in (0, 1)
-    and each such pair at distance d >= 2 in the window; the other entries
-    are "" and None."""
-    codes = [[""] * wg.width for _ in range(2)]
-    words = [[None] * wg.width for _ in range(2)]
-    for i0, j0 in _free_reps(wg.lo, wg.hi):
-        s, d = i0 - wg.lo, j0 - i0
-        codes[s][d], words[s][d] = _coded(wg.comm.get((i0, j0), {}), i0)
-    return codes, words
-
-
 def _plan(lo: int, checks) -> tuple:
     """The checks of a window starting at lo as the memo looks them up: (s,
     shape) for each, where s is the parity of its lowest index i relative to
@@ -506,12 +493,14 @@ class OverlapMemo:
 
 def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     """Whether every planned check passes on the shift-invariant table with
-    these orbit codes and words (laid out as by `_orbits`).  Every check is
-    first decided, where it can be, by walking its tree on the codes, and the
-    first failing leaf answers with no check run.  Only then are the checks
-    left undecided run through `OverlapMemo.run`, in plan order, each tree
-    walked again just before its run: the two parities of one shape share a
-    tree, so the run of one may have decided the other."""
+    these orbit codes and words: codes[s][d] and words[s][d] are the
+    `_coded` code and letters of the word of the pair (lo + s, lo + s + d)
+    of its window [lo, hi].  Every check is first decided, where it can be,
+    by walking its tree on the codes, and the first failing leaf answers with
+    no check run.  Only then are the checks left undecided run through
+    `OverlapMemo.run`, in plan order, each tree walked again just before its
+    run: the two parities of one shape share a tree, so the run of one may
+    have decided the other."""
     trees = memo.trees.setdefault(p, {})
     rows = ((codes[0], codes[1]), (codes[1], codes[0]))
     undecided = []

@@ -124,11 +124,6 @@ class LaurentPoly:
     def monomial(cls, fp: Fp, c: int, z: int) -> "LaurentPoly":
         return cls(fp, {z: c})
 
-    @classmethod
-    def from_pairs(cls, fp: Fp, pairs) -> "LaurentPoly":
-        """Build from the interchange form, a list of [exponent, coefficient]."""
-        return cls(fp, [(int(z), int(c)) for z, c in pairs])
-
     def to_pairs(self) -> list:
         """Interchange form: [exponent, coefficient] pairs sorted by exponent."""
         return [[z, self.terms[z]] for z in sorted(self.terms)]

@@ -4,9 +4,9 @@ families realized by them.
 The standard family lives in SL_2 and is abelian on the positive side; the
 unitary family lives in SL_3 (p odd), has central odd-index generators, and
 noncommuting even-index generators whose commutators land on the odd index
-halfway between.  Both carry a diagonal shift conjugator moving index n to
-n + 2.  Commutator convention throughout: [a, b] = a^-1 b^-1 a b, and
-conjugation a^b = b^-1 a b.
+halfway between.  Each root-group generator is unitriangular, upper on the
+positive side and lower on the negative one.  Commutator convention
+throughout: [a, b] = a^-1 b^-1 a b, and conjugation a^b = b^-1 a b.
 """
 
 from __future__ import annotations
@@ -15,12 +15,37 @@ from .laurent import Fp, LaurentPoly, mul_terms
 from .rootsystem import Root, check_root
 
 
+# the values of LaurentMatrix._shape once it is known: unitriangular, upper
+# or lower (the identity counts as upper), or neither
+_UPPER, _LOWER, _NEITHER = 1, 2, 0
+
+
+def _add(fp: Fp, x: LaurentPoly, y: LaurentPoly, zero: LaurentPoly) -> LaurentPoly:
+    """x + y for two entries over fp.  When one summand is zero the other is
+    returned itself, and a zero sum is `zero`; no term map is changed."""
+    if not y.terms:
+        return x
+    if not x.terms:
+        return y
+    p = fp.p
+    terms = dict(x.terms)
+    for z, c in y.terms.items():
+        c = (terms.get(z, 0) + c) % p
+        if c:
+            terms[z] = c
+        else:
+            del terms[z]
+    return LaurentPoly._reduced(fp, terms) if terms else zero
+
+
 class LaurentMatrix:
     """Square matrix (2x2 or 3x3) over LaurentPoly with determinant 1.
 
-    A matrix is immutable, so it keeps its inverse once computed."""
+    A matrix is immutable, so it keeps its inverse once computed, and its
+    shape (upper unitriangular, lower unitriangular or neither) once a
+    product has asked for it."""
 
-    __slots__ = ("fp", "n", "rows", "_hash", "_inv")
+    __slots__ = ("fp", "n", "rows", "_hash", "_inv", "_shape")
 
     def __init__(self, fp: Fp, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -36,6 +61,7 @@ class LaurentMatrix:
         self.rows = rows
         self._hash = None
         self._inv = None
+        self._shape = None
 
     @classmethod
     def _trusted(cls, fp: Fp, rows: tuple) -> "LaurentMatrix":
@@ -47,6 +73,7 @@ class LaurentMatrix:
         m.rows = rows
         m._hash = None
         m._inv = None
+        m._shape = None
         return m
 
     @classmethod
@@ -60,22 +87,46 @@ class LaurentMatrix:
         n = len(entries)
         return cls(fp, [[entries[i] if i == j else zero for j in range(n)] for i in range(n)])
 
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Row-by-row product over the nonzero entries of both factors; the
-        entries of the generators are mostly 0, 1 or a monomial.
+    def _unitriangular(self) -> int:
+        """`_shape`, computed on the first call: _UPPER when the diagonal is
+        all 1 and every entry below it is zero, else _LOWER when every entry
+        above it is, else _NEITHER."""
+        shape = self._shape
+        if shape is None:
+            r = self.rows
+            n = self.n
+            shape = _NEITHER
+            if all(r[i][i].terms == {0: 1} for i in range(n)):
+                if not any(r[i][j].terms for i in range(n) for j in range(i)):
+                    shape = _UPPER
+                elif not any(r[j][i].terms for i in range(n) for j in range(i)):
+                    shape = _LOWER
+            self._shape = shape
+        return shape
 
-        Row i of the product is the sum over k of a[i][k] times row k of b.
-        A term a[i][k] * b[k][j] with a factor 1 is the other factor's term
-        map itself, shared rather than copied; with a monomial factor it is
-        the other factor shifted and scaled; only two entries of several
-        terms each are convolved by mul_terms.  The first term of a sum is
-        copied before the others are added to it, so that no shared map
-        changes, and the sum is reduced once at the end.  Every zero entry of
-        the product is one shared zero polynomial."""
+    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """The product.  Two factors that are both upper, or both lower,
+        unitriangular (`_unitriangular`) multiply in closed form by
+        `_unitriangular_mul`, and the product keeps that shape.
+
+        Every other product (the torus, reflection elements, mixed
+        orientations, non-unit diagonals) goes row by row over the nonzero
+        entries of both factors; the entries of the generators are mostly 0,
+        1 or a monomial.  Row i of the product is the sum over k of a[i][k]
+        times row k of b.  A term a[i][k] * b[k][j] with a factor 1 is the
+        other factor's term map itself, shared rather than copied; with a
+        monomial factor it is the other factor shifted and scaled; only two
+        entries of several terms each are convolved by mul_terms.  The first
+        term of a sum is copied before the others are added to it, so that
+        no shared map changes, and the sum is reduced once at the end.
+        Every zero entry of the product is one shared zero polynomial."""
         if self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        shape = self._unitriangular()
+        if shape and shape == other._unitriangular():
+            return self._unitriangular_mul(other, shape)
         fp = self.fp
         p = fp.p
         n = self.n
@@ -124,6 +175,46 @@ class LaurentMatrix:
             out.append(tuple(out_row))
         return LaurentMatrix._trusted(fp, tuple(out))
 
+    def _unitriangular_mul(self, other: "LaurentMatrix", shape: int) -> "LaurentMatrix":
+        """The product of two unitriangular factors of one shape.  For 2x2
+        the off-diagonal entry is a + b.  For upper 3x3 it is
+        c12 = a12 + b12, c23 = a23 + b23, c13 = a13 + b13 + a12 * b23; a
+        lower product is the transpose of the upper product of the
+        transposes in reverse order.  Entries are shared as by `_add`, the
+        diagonal 1 and the zeros are the first factor's own, and at most
+        one term product is convolved."""
+        fp = self.fp
+        a, b = self.rows, other.rows
+        one = a[0][0]
+        if self.n == 2:
+            if shape == _UPPER:
+                zero = a[1][0]
+                rows = ((one, _add(fp, a[0][1], b[0][1], zero)), (zero, one))
+            else:
+                zero = a[0][1]
+                rows = ((one, zero), (_add(fp, a[1][0], b[1][0], zero), one))
+        else:
+            if shape == _UPPER:
+                zero = a[1][0]
+                x12, x23, x13 = a[0][1], a[1][2], a[0][2]
+                y12, y23, y13 = b[0][1], b[1][2], b[0][2]
+            else:
+                zero = a[0][1]
+                x12, x23, x13 = b[1][0], b[2][1], b[2][0]
+                y12, y23, y13 = a[1][0], a[2][1], a[2][0]
+            c13 = _add(fp, x13, y13, zero)
+            if x12.terms and y23.terms:
+                cross = LaurentPoly._reduced(fp, mul_terms(x12.terms, y23.terms, fp.p))
+                c13 = _add(fp, c13, cross, zero)
+            c12, c23 = _add(fp, x12, y12, zero), _add(fp, x23, y23, zero)
+            if shape == _UPPER:
+                rows = ((one, c12, c13), (zero, one, c23), (zero, zero, one))
+            else:
+                rows = ((one, zero, zero), (c12, one, zero), (c13, c23, one))
+        product = LaurentMatrix._trusted(fp, rows)
+        product._shape = shape
+        return product
+
     def det(self) -> LaurentPoly:
         r = self.rows
         if self.n == 2:
@@ -137,10 +228,9 @@ class LaurentMatrix:
     def inv(self) -> "LaurentMatrix":
         """Inverse via the adjugate, computed on the first call and kept; the
         inverse keeps this matrix as its own inverse.  For determinant 1 (all
-        group elements) this is division free; any unit determinant (a
-        monomial, e.g. the shift conjugator of the 3x3 family has det -1) is
-        scaled out exactly.  A determinant that is not a unit raises
-        ValueError on every call."""
+        group elements) this is division free; any other unit determinant (a
+        monomial c*t^z) is scaled out exactly.  A determinant that is not a
+        unit raises ValueError on every call."""
         if self._inv is not None:
             return self._inv
         det = self.det()
@@ -236,23 +326,15 @@ class StandardExample:
             fp, [LaurentPoly.const(fp, lam), LaurentPoly.const(fp, fp.inv(lam))]
         )
 
-    def sigma(self) -> LaurentMatrix:
-        """Shift conjugator: conjugation by it maps the index-n generator to index n + 2."""
-        fp = self.fp
-        return LaurentMatrix.diagonal(
-            fp, [LaurentPoly.monomial(fp, 1, -1), LaurentPoly.monomial(fp, 1, 1)]
-        )
-
     def normal_form(self, m: LaurentMatrix, lo: int, hi: int) -> tuple:
         """Exponent vector (e_lo, ..., e_hi) with m = u_lo^e_lo ... u_hi^e_hi."""
         if lo > hi:
             if m.is_identity():
                 return ()
             raise ValueError("nonidentity element on an empty window")
-        r = m.rows
-        if m.n != 2 or not (r[0][0].is_one() and r[1][1].is_one() and r[1][0].is_zero()):
+        if m.n != 2 or m._unitriangular() != _UPPER:
             raise ValueError("matrix is not upper unitriangular")
-        f = r[0][1]
+        f = m.rows[0][1]
         for z in f.support():
             if not lo <= z <= hi:
                 raise ValueError(f"entry support t^{z} escapes window [{lo}, {hi}]")
@@ -347,26 +429,6 @@ class UnitaryExample:
             [LaurentPoly.const(fp, lam), LaurentPoly.one(fp), LaurentPoly.const(fp, fp.inv(lam))],
         )
 
-    def sigma(self) -> LaurentMatrix:
-        fp = self.fp
-        return LaurentMatrix.diagonal(
-            fp,
-            [
-                LaurentPoly.monomial(fp, 1, -1),
-                LaurentPoly.one(fp),
-                LaurentPoly.monomial(fp, -1, 1),
-            ],
-        )
-
-    def _check_unitriangular(self, m: LaurentMatrix):
-        r = m.rows
-        if m.n != 3:
-            raise ValueError("expected a 3x3 matrix")
-        diag_ok = all(r[i][i].is_one() for i in range(3))
-        lower_ok = r[1][0].is_zero() and r[2][0].is_zero() and r[2][1].is_zero()
-        if not (diag_ok and lower_ok):
-            raise ValueError("matrix is not upper unitriangular")
-
     def normal_form(self, m: LaurentMatrix, lo: int, hi: int) -> tuple:
         """Two-phase read-off.  The even part is visible in the (1,2) entry -f(t)
         (the (2,3) entry must equal f(-t)); dividing it off leaves a matrix
@@ -378,7 +440,10 @@ class UnitaryExample:
             if m.is_identity():
                 return ()
             raise ValueError("nonidentity element on an empty window")
-        self._check_unitriangular(m)
+        if m.n != 3:
+            raise ValueError("expected a 3x3 matrix")
+        if m._unitriangular() != _UPPER:
+            raise ValueError("matrix is not upper unitriangular")
         f = -m.rows[0][1]
         if m.rows[1][2] != f.subs_neg_t():
             raise ValueError("inconsistent (1,2) and (2,3) entries")
@@ -445,11 +510,11 @@ class UnitaryExample:
         return None
 
     def in_torus(self, m: LaurentMatrix) -> bool:
+        if m.n != 3:
+            return False
         r = m.rows
-        off_zero = all(r[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
         return (
-            m.n == 3
-            and off_zero
+            all(r[i][j].is_zero() for i in range(3) for j in range(3) if i != j)
             and r[1][1].is_one()
             and r[0][0].is_constant()
             and not r[0][0].is_zero()

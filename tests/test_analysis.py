@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from test_overlap_memo import orbits
 from test_series_oracle import commutator_subgroup, derived_series
 
 from zsys import analysis, zsystem
@@ -597,7 +598,7 @@ def consistent(wg: WindowGroup, memo: analysis.OverlapMemo) -> bool:
     the collector's ValueError."""
     if wg.zs5_ok() is not None:
         raise ValueError(zsystem.NOT_INTERIOR)
-    codes, words = analysis._orbits(wg)
+    codes, words = orbits(wg)
     return analysis._checks_pass(memo, wg.p, analysis._window_plan(wg.lo, wg.hi), codes, words)
 
 

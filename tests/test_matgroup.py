@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_laurent import from_pairs
 
 from zsys.laurent import Fp, LaurentPoly
 from zsys.matgroup import (
@@ -23,7 +24,17 @@ def to_lists(m):
 
 def from_lists(fp, data):
     """The matrix whose entries are given as `to_lists` writes them."""
-    return LaurentMatrix(fp, [[LaurentPoly.from_pairs(fp, e) for e in row] for row in data])
+    return LaurentMatrix(fp, [[from_pairs(fp, e) for e in row] for row in data])
+
+
+def sigma(ex):
+    """The diagonal shift conjugator of a family: conjugation by it maps the
+    index-n generator to index n + 2."""
+    fp = ex.fp
+    t_inv, t = LaurentPoly.monomial(fp, 1, -1), LaurentPoly.monomial(fp, 1, 1)
+    if ex.dim == 2:
+        return LaurentMatrix.diagonal(fp, [t_inv, t])
+    return LaurentMatrix.diagonal(fp, [t_inv, LaurentPoly.one(fp), -t])
 
 
 def upper_coords(m):
@@ -95,7 +106,7 @@ def test_mul_inv_round_trip():
 def test_inverse_needs_unit_determinant():
     fp = Fp(5)
     one = LaurentPoly.one(fp)
-    f = LaurentPoly.from_pairs(fp, [[0, 1], [1, 1]])
+    f = from_pairs(fp, [[0, 1], [1, 1]])
     zero = LaurentPoly.zero(fp)
     bad = LaurentMatrix(fp, [[f, zero], [zero, one]])
     with pytest.raises(ValueError):
@@ -143,7 +154,7 @@ def test_make_example():
 @pytest.mark.parametrize("tag,p", [("standard", 3), ("standard", 5), ("unitary", 3), ("unitary", 5)])
 def test_sigma_shifts_generators_by_two(tag, p):
     ex = make_example(tag, p)
-    s = ex.sigma()
+    s = sigma(ex)
     si = s.inv()
     for n in range(-3, 4):
         for lam in range(1, p):
@@ -195,7 +206,7 @@ def test_unitary_commutator_x2_x4_forced_by_shift():
     ex = UnitaryExample(5)
     c = commutator(ex.u(2, 1), ex.u(4, 1))
     assert c == ex.u(3, 2)
-    s = ex.sigma()
+    s = sigma(ex)
     assert c == s.inv() * commutator(ex.u(0, 1), ex.u(2, 1)) * s
 
 
@@ -237,7 +248,7 @@ def test_standard_normal_form_example():
     ex = StandardExample(3)
     fp = ex.fp
     one = LaurentPoly.one(fp)
-    f = LaurentPoly.from_pairs(fp, [[0, 1], [1, 2]])
+    f = from_pairs(fp, [[0, 1], [1, 2]])
     m = LaurentMatrix(fp, [[one, f], [LaurentPoly.zero(fp), one]])
     assert ex.normal_form(m, 0, 3) == (1, 2, 0, 0)
 
@@ -305,7 +316,7 @@ def test_unitary_normal_form_consistency_check():
     ex = UnitaryExample(5)
     m = ex.u(0, 1)
     rows = [list(r) for r in m.rows]
-    rows[1][2] = LaurentPoly.from_pairs(ex.fp, [[0, 3]])
+    rows[1][2] = from_pairs(ex.fp, [[0, 3]])
     bad = LaurentMatrix(ex.fp, rows)
     with pytest.raises(ValueError):
         ex.normal_form(bad, 0, 2)
@@ -348,6 +359,19 @@ def test_root_of_rejects_non_generators():
     assert exu.root_of(exu.u(0, 1) * exu.u(1, 1)) is None
 
 
+def test_families_refuse_each_others_matrices():
+    std, uni = StandardExample(5), UnitaryExample(5)
+    for ex, other in ((std, uni), (uni, std)):
+        foreign = [other.root_generator(Root(z, eps), 2) for z in (0, 1) for eps in (1, -1)]
+        foreign += [other.h(2), LaurentMatrix.identity(other.fp, other.dim)]
+        for m in foreign:
+            assert ex.in_torus(m) is False
+            assert ex.root_of(m) is None
+            for read in (ex.normal_form, ex.normal_form_negative):
+                with pytest.raises(ValueError):
+                    read(m, -2, 2)
+
+
 def test_json_matrix_round_trip():
     ex = UnitaryExample(7)
     m = ex.u(-2, 3) * ex.u(1, 5)
@@ -358,7 +382,7 @@ def test_matrix_product_associative_randomized():
     rng = random.Random(5150)
     ex = UnitaryExample(5)
     pool = [ex.u(n, lam) for n in range(-3, 4) for lam in (1, 2, 4)]
-    pool += [ex.h(2), ex.sigma(), ex.u(0, 1).transpose()]
+    pool += [ex.h(2), sigma(ex), ex.u(0, 1).transpose()]
     for _ in range(40):
         a, b, c = (pool[rng.randrange(len(pool))] for _ in range(3))
         assert (a * b) * c == a * (b * c)
@@ -448,24 +472,88 @@ def stored_terms(m):
     return [[dict(e.terms) for e in row] for row in m.rows]
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(pair=matrix_pairs())
-def test_product_matches_schoolbook(pair):
-    a, b = pair
+@st.composite
+def unitriangular_pairs(draw):
+    """Two unitriangular matrices of one size over one F_p: both upper, both
+    lower, or one of each, which the product takes row by row.  Each entry
+    of b off the diagonal is drawn afresh or is the negation of a's entry in
+    the same place (its mirror image when the orientations differ), so that
+    sums of entries cancel to zero; in a 3x3 pair of one orientation the
+    corner of b may also cancel the whole corner of a * b."""
+    fp = Fp(draw(st.sampled_from((2, 3, 5, 7))))
+    n = draw(st.sampled_from((2, 3)))
+    upper_a, upper_b = draw(st.sampled_from(list(itertools.product((True, False), repeat=2))))
+    one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
+
+    def off_diagonal(upper):
+        return [(i, j) for i in range(n) for j in range(n) if (i < j if upper else i > j)]
+
+    a = {ij: draw(sparse_entries(fp)) for ij in off_diagonal(upper_a)}
+    b = {}
+    for i, j in off_diagonal(upper_b):
+        mirror = (i, j) if upper_a == upper_b else (j, i)
+        b[i, j] = -a[mirror] if draw(st.booleans()) else draw(sparse_entries(fp))
+    if n == 3 and upper_a == upper_b and draw(st.booleans()):
+        if upper_a:
+            b[0, 2] = -(a[0, 2] + a[0, 1] * b[1, 2])
+        else:
+            b[2, 0] = -(a[2, 0] + a[2, 1] * b[1, 0])
+
+    def matrix(entries):
+        return LaurentMatrix(fp, [
+            [one if i == j else entries.get((i, j), zero) for j in range(n)] for i in range(n)
+        ])
+
+    return matrix(a), matrix(b)
+
+
+def check_products(a, b):
+    """a * b, b * a, ab * ab and the chain ab * a * ab * b equal their
+    schoolbook products, no product changes a term map it was given, and no
+    product stores a zero coefficient (so every zero entry has no terms)."""
     before = stored_terms(a), stored_terms(b)
     ab, ba = a * b, b * a
     assert ab == schoolbook_mul(a, b)
     assert ba == schoolbook_mul(b, a)
-    # a product by a unit entry shares the other entry's term map, so no
-    # later product may add into it
+    # a product by a unit entry, or a sum with a zero summand, shares the
+    # other entry's term map, so no later product may add into it
     product_terms = stored_terms(ab)
-    assert ab * a * ab * b == schoolbook_mul(schoolbook_mul(schoolbook_mul(ab, a), ab), b)
+    square = ab * ab
+    assert square == schoolbook_mul(ab, ab)
+    chain = ab * a * ab * b
+    assert chain == schoolbook_mul(schoolbook_mul(schoolbook_mul(ab, a), ab), b)
     assert (stored_terms(a), stored_terms(b)) == before
     assert stored_terms(ab) == product_terms
-    for m in (ab, ba):
+    for m in (ab, ba, square, chain):
         for row in m.rows:
             for e in row:
                 assert all(0 < c < m.fp.p for c in e.terms.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pair=matrix_pairs())
+def test_product_matches_schoolbook(pair):
+    check_products(*pair)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pair=unitriangular_pairs())
+def test_unitriangular_product_matches_schoolbook(pair):
+    check_products(*pair)
+
+
+@pytest.mark.parametrize("tag", ["standard", "unitary"])
+def test_generator_commutators_match_schoolbook(tag):
+    # every pair of root-group generators over [-1, 1], of either sign and
+    # any parameter; the inverses are adjugates, formed without the product
+    ex = make_example(tag, 5)
+    gens = [
+        ex.root_generator(Root(z, eps), lam)
+        for z in range(-1, 2) for eps in (1, -1) for lam in range(1, 5)
+    ]
+    for g, h in itertools.product(gens, repeat=2):
+        expected = schoolbook_mul(schoolbook_mul(schoolbook_mul(g.inv(), h.inv()), g), h)
+        assert commutator(g, h) == expected
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -483,7 +571,7 @@ def test_inverse_is_computed_once_and_linked(m):
 def test_non_unit_determinant_raises_on_every_call():
     fp = Fp(5)
     one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
-    f = LaurentPoly.from_pairs(fp, [[0, 1], [1, 1]])
+    f = from_pairs(fp, [[0, 1], [1, 1]])
     for bad in (
         LaurentMatrix(fp, [[f, zero], [zero, one]]),
         LaurentMatrix(fp, [[one, f, zero], [zero, f, zero], [zero, zero, one]]),

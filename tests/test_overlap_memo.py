@@ -12,12 +12,26 @@ from hypothesis import strategies as st
 from zsys import analysis, zsystem
 from zsys.analysis import (
     OverlapMemo,
+    _coded,
     _consistent_extensions,
     _free_reps,
     _propagate,
     search_tables,
 )
 from zsys.zsystem import WindowGroup, overlap_checks, overlap_violation
+
+
+def orbits(wg: WindowGroup) -> tuple:
+    """(codes, words): codes[s][d] and words[s][d] are the `_coded` code and
+    letters of the word of the pair (lo + s, lo + s + d), for s in (0, 1)
+    and each such pair at distance d >= 2 in the window; the other entries
+    are "" and None."""
+    codes = [[""] * wg.width for _ in range(2)]
+    words = [[None] * wg.width for _ in range(2)]
+    for i0, j0 in _free_reps(wg.lo, wg.hi):
+        s, d = i0 - wg.lo, j0 - i0
+        codes[s][d], words[s][d] = _coded(wg.comm.get((i0, j0), {}), i0)
+    return codes, words
 
 
 @st.composite
@@ -56,7 +70,7 @@ def test_tree_memo_matches_overlap_test_check_by_check(tables):
     # the second pass walks the trees that the first one grew
     memo = OverlapMemo()
     for wg in tables + tables[::-1]:
-        codes, words = analysis._orbits(wg)
+        codes, words = orbits(wg)
         for check in overlap_checks(wg.lo, wg.hi):
             (planned,) = analysis._plan(wg.lo, [check])
             expected = overlap_violation(wg, [check]) is not None
@@ -75,7 +89,7 @@ def test_tree_memo_matches_overlap_test_on_extension_nodes(tables, data):
     for wg in tables + tables[::-1]:
         _, new_reps, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
         level = data.draw(st.integers(0, len(new_reps)))
-        codes, words = analysis._orbits(wg)
+        codes, words = orbits(wg)
         for i, j in new_reps[level:]:
             codes[i - wg.lo][j - i], words[i - wg.lo][j - i] = "", None
         for s, shape in levels[level]:
@@ -96,11 +110,11 @@ def test_tree_memo_grows_on_reads():
     # on that word is decided without a run
     memo = OverlapMemo()
     wg = WindowGroup(3, 0, 2, {(0, 2): {1: 1}})
-    codes, words = analysis._orbits(wg)
+    codes, words = orbits(wg)
     assert not memo_fails(memo, wg, codes, words, (0, (2, 1, 0)))
     assert memo.trees == {3: {(2, 1, 0): (0, 2, {codes[0][2]: False})}}
     wider = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (2, 4): {3: 1}, (1, 3): {2: 2}})
-    codes, words = analysis._orbits(wider)
+    codes, words = orbits(wider)
     assert not memo_fails(memo, wider, codes, words, (0, (2, 1, 0)))
     assert len(memo) == 1
 
@@ -159,7 +173,7 @@ def test_a_memo_leaf_that_fails_answers_before_any_run(monkeypatch):
         reps = _free_reps(0, hi)
         for assignment in itertools.product(*[analysis._word_choices(3, i, j, 1) for i, j in reps]):
             wg = WindowGroup(3, 0, hi, _propagate(0, hi, dict(zip(reps, assignment))))
-            codes, words = analysis._orbits(wg)
+            codes, words = orbits(wg)
             # a memo that holds the tree of one failing check only, of
             # another shape than the first check's
             for planned in plan[1:]:
