@@ -129,7 +129,7 @@ class LaurentPoly:
         return [[z, self.terms[z]] for z in sorted(self.terms)]
 
     def _same(self, other: "LaurentPoly"):
-        if self.fp != other.fp:
+        if self.fp is not other.fp and self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
 
     def __add__(self, other):
@@ -193,7 +193,7 @@ class LaurentPoly:
     def __eq__(self, other):
         return (
             isinstance(other, LaurentPoly)
-            and self.fp == other.fp
+            and (self.fp is other.fp or self.fp == other.fp)
             and self.terms == other.terms
         )
 

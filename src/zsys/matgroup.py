@@ -38,6 +38,33 @@ def _add(fp: Fp, x: LaurentPoly, y: LaurentPoly, zero: LaurentPoly) -> LaurentPo
     return LaurentPoly._reduced(fp, terms) if terms else zero
 
 
+def _det2(fp: Fp, w: LaurentPoly, x: LaurentPoly, y: LaurentPoly, z: LaurentPoly,
+          zero: LaurentPoly) -> LaurentPoly:
+    """w * x - y * z over fp, with one `mul_terms` call per product whose
+    factors are both nonzero; a zero result is `zero`."""
+    p = fp.p
+    terms = mul_terms(w.terms, x.terms, p) if w.terms and x.terms else {}
+    if y.terms and z.terms:
+        for e, c in mul_terms(y.terms, z.terms, p).items():
+            c = (terms.get(e, 0) - c) % p
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+    return LaurentPoly._reduced(fp, terms) if terms else zero
+
+
+def _shaped(fp: Fp, rows: tuple, shape: int) -> "LaurentMatrix":
+    """Wrap rows built here of a unitriangular matrix of the given shape,
+    with that shape known; a lower one that is the identity is upper, as
+    `LaurentMatrix._unitriangular` has it."""
+    if shape == _LOWER and not any(rows[i][j].terms for i in range(len(rows)) for j in range(i)):
+        shape = _UPPER
+    m = LaurentMatrix._trusted(fp, rows)
+    m._shape = shape
+    return m
+
+
 class LaurentMatrix:
     """Square matrix (2x2 or 3x3) over LaurentPoly with determinant 1.
 
@@ -120,7 +147,7 @@ class LaurentMatrix:
         term of a sum is copied before the others are added to it, so that
         no shared map changes, and the sum is reduced once at the end.
         Every zero entry of the product is one shared zero polynomial."""
-        if self.fp != other.fp:
+        if self.fp is not other.fp and self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
@@ -182,7 +209,8 @@ class LaurentMatrix:
         lower product is the transpose of the upper product of the
         transposes in reverse order.  Entries are shared as by `_add`, the
         diagonal 1 and the zeros are the first factor's own, and at most
-        one term product is convolved."""
+        one term product is convolved.  The product keeps the shape, and is
+        upper when it is the identity."""
         fp = self.fp
         a, b = self.rows, other.rows
         one = a[0][0]
@@ -211,9 +239,7 @@ class LaurentMatrix:
                 rows = ((one, c12, c13), (zero, one, c23), (zero, zero, one))
             else:
                 rows = ((one, zero, zero), (c12, one, zero), (c13, c23, one))
-        product = LaurentMatrix._trusted(fp, rows)
-        product._shape = shape
-        return product
+        return _shaped(fp, rows, shape)
 
     def det(self) -> LaurentPoly:
         r = self.rows
@@ -273,7 +299,7 @@ class LaurentMatrix:
     def __eq__(self, other):
         return (
             isinstance(other, LaurentMatrix)
-            and self.fp == other.fp
+            and (self.fp is other.fp or self.fp == other.fp)
             and self.rows == other.rows
         )
 
@@ -288,7 +314,31 @@ class LaurentMatrix:
 
 
 def commutator(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """[a, b] = a^-1 b^-1 a b."""
+    """[a, b] = a^-1 b^-1 a b.
+
+    Two unitriangular factors of one shape (`_unitriangular`) commute in
+    closed form, with no inverse and no product formed.  In 2x2 they commute.
+    In 3x3, the Heisenberg group, the commutator of two upper factors is the
+    identity plus the corner c13 = a12 * b23 - a23 * b12; that of two lower
+    factors is the identity plus c31 = b21 * a32 - a21 * b32, since
+    [L1, L2]^T = [U2^-1, U1^-1] for U = L^T.  The diagonal 1 and the zeros are
+    a's own entries, and the result knows its shape.  Every other pair, and a
+    pair of mixed moduli or sizes, which then raises, goes through the
+    inverses and products."""
+    shape = a._unitriangular()
+    if shape and a.n == b.n and (a.fp is b.fp or a.fp == b.fp) and shape == b._unitriangular():
+        fp, x, y = a.fp, a.rows, b.rows
+        one = x[0][0]
+        zero = x[1][0] if shape == _UPPER else x[0][1]
+        if a.n == 2:
+            return _shaped(fp, ((one, zero), (zero, one)), _UPPER)
+        if shape == _UPPER:
+            corner = _det2(fp, x[0][1], y[1][2], x[1][2], y[0][1], zero)
+            rows = ((one, zero, corner), (zero, one, zero), (zero, zero, one))
+        else:
+            corner = _det2(fp, y[1][0], x[2][1], x[1][0], y[2][1], zero)
+            rows = ((one, zero, zero), (zero, one, zero), (corner, zero, one))
+        return _shaped(fp, rows, shape)
     return a.inv() * b.inv() * a * b
 
 

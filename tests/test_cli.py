@@ -548,10 +548,18 @@ def test_cap_exceeded_exit_2(capsys):
         capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "2"
     )
     assert code == 2 and "resource" in err
-    # the search hits the cap after ten tables and prints none of them
+    # the search hits the cap after twelve tables and prints none of them
     code, out, err = run_cli(capsys, "search", "--p", "3", "--window", "0", "4", "--cap", "3")
     assert (code, out) == (2, "")
     assert "resource" in err
+
+
+def test_cap_spares_central_search_tables(capsys):
+    # the search classes central tables by structure and forms no subgroup
+    # for them, and every table at p = 2 on [0, 3] is central
+    code, out, err = run_cli(capsys, "search", "--p", "2", "--window", "0", "3", "--cap", "1")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 7
 
 
 def test_rgd_past_its_budget_exits_2_before_building(capsys):

@@ -525,9 +525,33 @@ def check_products(a, b):
     assert (stored_terms(a), stored_terms(b)) == before
     assert stored_terms(ab) == product_terms
     for m in (ab, ba, square, chain):
-        for row in m.rows:
-            for e in row:
-                assert all(0 < c < m.fp.p for c in e.terms.values())
+        check_stored(m)
+
+
+def check_stored(m):
+    """No entry of m stores a zero coefficient, and the shape m keeps is the
+    one a fresh copy of its rows computes: a product of lower factors that
+    is the identity counts as upper."""
+    for row in m.rows:
+        for e in row:
+            assert all(0 < c < m.fp.p for c in e.terms.values())
+    assert m._unitriangular() == LaurentMatrix(m.fp, m.rows)._unitriangular()
+
+
+def schoolbook_commutator(a, b):
+    """[a, b] = a^-1 b^-1 a b from the adjugate inverses by schoolbook
+    products, which the commutator's closed form does not use."""
+    return schoolbook_mul(schoolbook_mul(schoolbook_mul(a.inv(), b.inv()), a), b)
+
+
+def check_commutator(a, b):
+    """[a, b] equals its schoolbook product, keeps no zero coefficient and
+    the shape it computes, and changes no term map of a or b."""
+    before = stored_terms(a), stored_terms(b)
+    c = commutator(a, b)
+    assert (stored_terms(a), stored_terms(b)) == before
+    assert c == schoolbook_commutator(a, b)
+    check_stored(c)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -542,18 +566,48 @@ def test_unitriangular_product_matches_schoolbook(pair):
     check_products(*pair)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pair=unitriangular_pairs())
+def test_unitriangular_commutator_matches_schoolbook(pair):
+    # pairs of one orientation take the closed form, mixed ones the inverses
+    # and products; b's entries that negate a's make the corner cancel
+    a, b = pair
+    check_commutator(a, b)
+    check_commutator(b, a)
+
+
 @pytest.mark.parametrize("tag", ["standard", "unitary"])
 def test_generator_commutators_match_schoolbook(tag):
-    # every pair of root-group generators over [-1, 1], of either sign and
-    # any parameter; the inverses are adjugates, formed without the product
+    # every pair of root-group generators over [-2, 2], of either sign and
+    # any parameter, at p = 3, 5 and 7
+    for p in (3, 5, 7):
+        ex = make_example(tag, p)
+        gens = [
+            ex.root_generator(Root(z, eps), lam)
+            for z in range(-2, 3) for eps in (1, -1) for lam in range(1, p)
+        ]
+        for g, h in itertools.product(gens, repeat=2):
+            check_commutator(g, h)
+
+
+def test_commutator_refuses_mixed_moduli_and_sizes():
+    # factors of one shape over different moduli or of different sizes raise
+    # as their product does, rather than take the closed form
+    with pytest.raises(ValueError, match="mixed moduli"):
+        commutator(UnitaryExample(3).u(0, 1), UnitaryExample(5).u(2, 1))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        commutator(StandardExample(5).u(0, 1), UnitaryExample(5).u(2, 1))
+
+
+@pytest.mark.parametrize("tag", ["standard", "unitary"])
+def test_identity_of_lower_factors_reads_off(tag):
+    # a product or commutator of lower factors that is the identity is upper,
+    # so the positive read-off takes it
     ex = make_example(tag, 5)
-    gens = [
-        ex.root_generator(Root(z, eps), lam)
-        for z in range(-1, 2) for eps in (1, -1) for lam in range(1, 5)
-    ]
-    for g, h in itertools.product(gens, repeat=2):
-        expected = schoolbook_mul(schoolbook_mul(schoolbook_mul(g.inv(), h.inv()), g), h)
-        assert commutator(g, h) == expected
+    low = ex.root_generator(Root(2, -1), 1)
+    for m in (low * low.inv(), commutator(low, low), commutator(low, low.inv())):
+        assert m.is_identity() and m._shape is not None
+        assert ex.normal_form(m, 0, 4) == (0,) * 5
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

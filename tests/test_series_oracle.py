@@ -11,7 +11,7 @@ definitions, over whole element sets.  `oracle_lemma_checks` is the lemma
 report built without sharing the series: it forms [Y, X], [Y, X, X] and the
 image of each series term by normal closures of their own.  All of them
 presume a consistent table, so the tables drawn here are: the search tables at p = 2 and p = 3
-(class 1 to 3, central and not), and random central tables that pass the
+(class 1 to 3, central and not), and random central tables, which all pass the
 overlap test.
 """
 
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from test_closure_oracle import outcome, searched_windows
 from test_collect_oracle import central_tables
 
+from zsys import analysis
 from zsys.analysis import (
     Subgroup,
     derived_subgroup,
@@ -225,8 +226,13 @@ def test_series_match_oracle_on_search_tables():
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_series_match_oracle_on_central_tables(data):
+    # the search classes a central table by structure, with no series: every
+    # central table passes the overlap test, and its class is 2, or 1 when
+    # it is empty
     wg = data.draw(central_tables())
-    assume(wg.order <= 3**6 and overlap_violation(wg) is None)
+    assert overlap_violation(wg) is None
+    assert nilpotency_class(wg) == (2 if wg.comm else 1)
+    assume(wg.order <= 3**6)
     check_series(wg)
     # the same subgroups are formed, so a cap is exceeded by both or neither,
     # with the same message
@@ -235,6 +241,22 @@ def test_series_match_oracle_on_central_tables(data):
     assert outcome(lambda: derived_subgroup(wg, cap).elements) == outcome(
         lambda: oracle_derived_subgroup(wg, cap).elements
     )
+
+
+def test_search_forms_the_series_of_non_central_tables_only(monkeypatch):
+    formed = []
+
+    def counted(wg, cap=None):
+        formed.append(wg.to_json_dict())
+        return nilpotency_class(wg, cap)
+
+    monkeypatch.setattr(analysis, "nilpotency_class", counted)
+    items = [item for p, hi in ((3, 4), (2, 5)) for item in analysis.search_tables(p, 0, hi, 1)]
+    monkeypatch.undo()
+    windows = [WindowGroup.from_json_dict(item["table"]) for item in items]
+    assert formed == [wg.to_json_dict() for wg in windows if not wg._central]
+    assert len(formed) == 78
+    assert [item["class"] for item in items] == [nilpotency_class(wg) for wg in windows]
 
 
 def check_commutators_formed_once(wg):
