@@ -492,6 +492,12 @@ class OverlapMemo:
         self.leaves += 1
 
 
+# memo leaves past which `_checks_pass` empties the overlap memo: deep
+# searches and deep certificates meet ever new sub-tables, and a cache that
+# only grows would hold them all
+MEMO_LIMIT = 1 << 16
+
+
 def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     """Whether every planned check passes on the shift-invariant table with
     these orbit codes and words: codes[s][d] and words[s][d] are the
@@ -501,7 +507,11 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     no check run.  Only then are the checks left undecided run through
     `OverlapMemo.run`, in plan order, each tree walked again just before its
     run: the two parities of one shape share a tree, so the run of one may
-    have decided the other."""
+    have decided the other.  A memo that holds more than MEMO_LIMIT leaves
+    is emptied first, so it never holds more than that plus the leaves of
+    one call."""
+    if len(memo) > MEMO_LIMIT:
+        memo.clear()
     trees = memo.trees.setdefault(p, {})
     rows = ((codes[0], codes[1]), (codes[1], codes[0]))
     undecided = []
@@ -529,12 +539,6 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     return True
 
 
-# memo leaves past which the search empties its overlap memo, between
-# candidates and at backtracking nodes: deep searches and deep certificates
-# meet ever new sub-tables, and a cache that only grows would hold them all
-MEMO_LIMIT = 1 << 16
-
-
 def search_tables(
     p: int,
     lo: int,
@@ -554,9 +558,8 @@ def search_tables(
     memo (`_checks_pass`), from the codes and letters of its representative
     words, which are cached with the word choices; a window that passes
     keeps that outcome, no `overlap_witness`.  The call owns one memo
-    for its candidates and their certificates, emptied between candidates
-    and at the backtracking nodes of a certificate once it holds more than
-    MEMO_LIMIT leaves; the memo is a cache, so no result depends on it.
+    for its candidates and their certificates; the memo is a cache, so no
+    result depends on it.
 
     A table that passes and is central (`WindowGroup._central`: no word
     letter is an endpoint of a pair with a word) has class 2, or 1 when it
@@ -601,8 +604,6 @@ def search_tables(
         wg.overlap_witness = None
         cls = (2 if wg.comm else 1) if wg._central else nilpotency_class(wg, cap)
         ext = extendable(wg, support_bound, extend_depth, memo)
-        if len(memo) > MEMO_LIMIT:
-            memo.clear()
         yield {"table": wg.to_json_dict(), "class": cls, "extendable": ext}
 
 
@@ -660,8 +661,7 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     """Yield consistent shift-invariant widenings of the table to
     [lo-1, hi+1], via backtracking over the newly free orbit representatives
     with incremental overlap pruning through the overlap memo (a fresh one
-    without `memo`).  A node empties the memo first if it holds more than
-    MEMO_LIMIT leaves.
+    without `memo`).
 
     A table that is not shift-invariant is refused: no shift-invariant
     widening restricts to it, and the widenings built from its orbit
@@ -698,8 +698,6 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
         memo = OverlapMemo()
 
     def rec(idx: int):
-        if len(memo) > MEMO_LIMIT:
-            memo.clear()
         if not _checks_pass(memo, p, levels[idx], codes, words):
             return
         if idx == len(new_reps):

@@ -20,24 +20,6 @@ from .rootsystem import Root, check_root
 _UPPER, _LOWER, _NEITHER = 1, 2, 0
 
 
-def _add(fp: Fp, x: LaurentPoly, y: LaurentPoly, zero: LaurentPoly) -> LaurentPoly:
-    """x + y for two entries over fp.  When one summand is zero the other is
-    returned itself, and a zero sum is `zero`; no term map is changed."""
-    if not y.terms:
-        return x
-    if not x.terms:
-        return y
-    p = fp.p
-    terms = dict(x.terms)
-    for z, c in y.terms.items():
-        c = (terms.get(z, 0) + c) % p
-        if c:
-            terms[z] = c
-        else:
-            del terms[z]
-    return LaurentPoly._reduced(fp, terms) if terms else zero
-
-
 def _det2(fp: Fp, w: LaurentPoly, x: LaurentPoly, y: LaurentPoly, z: LaurentPoly,
           zero: LaurentPoly) -> LaurentPoly:
     """w * x - y * z over fp, with one `mul_terms` call per product whose
@@ -55,9 +37,9 @@ def _det2(fp: Fp, w: LaurentPoly, x: LaurentPoly, y: LaurentPoly, z: LaurentPoly
 
 
 def _shaped(fp: Fp, rows: tuple, shape: int) -> "LaurentMatrix":
-    """Wrap rows built here of a unitriangular matrix of the given shape,
-    with that shape known; a lower one that is the identity is upper, as
-    `LaurentMatrix._unitriangular` has it."""
+    """Wrap the rows of a commutator formed in closed form, a unitriangular
+    matrix of the given shape, with that shape known; a lower one that is
+    the identity is upper, as `LaurentMatrix._unitriangular` has it."""
     if shape == _LOWER and not any(rows[i][j].terms for i in range(len(rows)) for j in range(i)):
         shape = _UPPER
     m = LaurentMatrix._trusted(fp, rows)
@@ -69,8 +51,9 @@ class LaurentMatrix:
     """Square matrix (2x2 or 3x3) over LaurentPoly with determinant 1.
 
     A matrix is immutable, so it keeps its inverse once computed, and its
-    shape (upper unitriangular, lower unitriangular or neither) once a
-    product has asked for it."""
+    shape (upper unitriangular, lower unitriangular or neither) once
+    `_unitriangular` has computed it or `commutator` has formed the matrix
+    with it."""
 
     __slots__ = ("fp", "n", "rows", "_hash", "_inv", "_shape")
 
@@ -132,28 +115,21 @@ class LaurentMatrix:
         return shape
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """The product.  Two factors that are both upper, or both lower,
-        unitriangular (`_unitriangular`) multiply in closed form by
-        `_unitriangular_mul`, and the product keeps that shape.
-
-        Every other product (the torus, reflection elements, mixed
-        orientations, non-unit diagonals) goes row by row over the nonzero
-        entries of both factors; the entries of the generators are mostly 0,
-        1 or a monomial.  Row i of the product is the sum over k of a[i][k]
+        """The product, row by row over the nonzero entries of both
+        factors; the entries of the generators are mostly 0, 1 or a
+        monomial.  Row i of the product is the sum over k of a[i][k]
         times row k of b.  A term a[i][k] * b[k][j] with a factor 1 is the
         other factor's term map itself, shared rather than copied; with a
         monomial factor it is the other factor shifted and scaled; only two
         entries of several terms each are convolved by mul_terms.  The first
         term of a sum is copied before the others are added to it, so that
-        no shared map changes, and the sum is reduced once at the end.
+        no shared map changes, and the sum is reduced once at the end, so a
+        product by the identity shares every term map of the other factor.
         Every zero entry of the product is one shared zero polynomial."""
         if self.fp is not other.fp and self.fp != other.fp:
             raise ValueError(f"mixed moduli: {self.fp} vs {other.fp}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        shape = self._unitriangular()
-        if shape and shape == other._unitriangular():
-            return self._unitriangular_mul(other, shape)
         fp = self.fp
         p = fp.p
         n = self.n
@@ -201,45 +177,6 @@ class LaurentMatrix:
                 out_row.append(LaurentPoly._reduced(fp, terms) if terms else zero)
             out.append(tuple(out_row))
         return LaurentMatrix._trusted(fp, tuple(out))
-
-    def _unitriangular_mul(self, other: "LaurentMatrix", shape: int) -> "LaurentMatrix":
-        """The product of two unitriangular factors of one shape.  For 2x2
-        the off-diagonal entry is a + b.  For upper 3x3 it is
-        c12 = a12 + b12, c23 = a23 + b23, c13 = a13 + b13 + a12 * b23; a
-        lower product is the transpose of the upper product of the
-        transposes in reverse order.  Entries are shared as by `_add`, the
-        diagonal 1 and the zeros are the first factor's own, and at most
-        one term product is convolved.  The product keeps the shape, and is
-        upper when it is the identity."""
-        fp = self.fp
-        a, b = self.rows, other.rows
-        one = a[0][0]
-        if self.n == 2:
-            if shape == _UPPER:
-                zero = a[1][0]
-                rows = ((one, _add(fp, a[0][1], b[0][1], zero)), (zero, one))
-            else:
-                zero = a[0][1]
-                rows = ((one, zero), (_add(fp, a[1][0], b[1][0], zero), one))
-        else:
-            if shape == _UPPER:
-                zero = a[1][0]
-                x12, x23, x13 = a[0][1], a[1][2], a[0][2]
-                y12, y23, y13 = b[0][1], b[1][2], b[0][2]
-            else:
-                zero = a[0][1]
-                x12, x23, x13 = b[1][0], b[2][1], b[2][0]
-                y12, y23, y13 = a[1][0], a[2][1], a[2][0]
-            c13 = _add(fp, x13, y13, zero)
-            if x12.terms and y23.terms:
-                cross = LaurentPoly._reduced(fp, mul_terms(x12.terms, y23.terms, fp.p))
-                c13 = _add(fp, c13, cross, zero)
-            c12, c23 = _add(fp, x12, y12, zero), _add(fp, x23, y23, zero)
-            if shape == _UPPER:
-                rows = ((one, c12, c13), (zero, one, c23), (zero, zero, one))
-            else:
-                rows = ((one, zero, zero), (c12, one, zero), (c13, c23, one))
-        return _shaped(fp, rows, shape)
 
     def det(self) -> LaurentPoly:
         r = self.rows
@@ -396,10 +333,10 @@ class StandardExample:
             if m.is_identity():
                 return ()
             raise ValueError("nonidentity element on an empty window")
-        r = m.rows
-        if m.n != 2 or not (r[0][0].is_one() and r[1][1].is_one() and r[0][1].is_zero()):
+        # the identity is lower unitriangular too, though its shape is upper
+        if m.n != 2 or (m._unitriangular() != _LOWER and not m.is_identity()):
             raise ValueError("matrix is not lower unitriangular")
-        f = r[1][0]
+        f = m.rows[1][0]
         for z in f.support():
             if not lo <= -z <= hi:
                 raise ValueError(f"entry support t^{z} escapes window [{lo}, {hi}]")
@@ -409,14 +346,14 @@ class StandardExample:
         """Match m against the generator families: (root, lam) or None."""
         if m.n != 2 or m.is_identity():
             return None
+        shape = m._unitriangular()
         r = m.rows
-        if r[0][0].is_one() and r[1][1].is_one():
-            if r[1][0].is_zero() and r[0][1].is_monomial():
-                ((z, c),) = r[0][1].terms.items()
-                return Root(z, 1), c
-            if r[0][1].is_zero() and r[1][0].is_monomial():
-                ((z, c),) = r[1][0].terms.items()
-                return Root(-z, -1), c
+        if shape == _UPPER and r[0][1].is_monomial():
+            ((z, c),) = r[0][1].terms.items()
+            return Root(z, 1), c
+        if shape == _LOWER and r[1][0].is_monomial():
+            ((z, c),) = r[1][0].terms.items()
+            return Root(-z, -1), c
         return None
 
     def in_torus(self, m: LaurentMatrix) -> bool:
@@ -530,21 +467,19 @@ class UnitaryExample:
         """Match m against the generator families: (root, lam) or None."""
         if m.n != 3 or m.is_identity():
             return None
-        r = m.rows
-        lower_zero = r[1][0].is_zero() and r[2][0].is_zero() and r[2][1].is_zero()
-        upper_zero = r[0][1].is_zero() and r[0][2].is_zero() and r[1][2].is_zero()
-        if lower_zero and not upper_zero:
+        shape = m._unitriangular()
+        if shape == _UPPER:
             got = self._match_positive(m)
             return None if got is None else (Root(got[0], 1), got[1])
-        if upper_zero and not lower_zero:
+        if shape == _LOWER:
             got = self._match_positive(m.transpose())
             return None if got is None else (Root(got[0], -1), got[1])
         return None
 
     def _match_positive(self, m: LaurentMatrix):
+        """(index, lam) of the positive generator equal to m, an upper
+        unitriangular matrix other than the identity, or None."""
         r = m.rows
-        if not all(r[i][i].is_one() for i in range(3)):
-            return None
         a12, a13, a23 = r[0][1], r[0][2], r[1][2]
         if a12.is_zero() and a23.is_zero() and a13.is_monomial():
             ((w, c),) = a13.terms.items()

@@ -592,6 +592,36 @@ def test_search_memo_limit_changes_nothing(monkeypatch):
         assert list(search_tables(*args, **kwargs)) == stream
 
 
+def test_search_memo_bound_holds_between_candidates(monkeypatch):
+    # with the limit at 0 the memo is emptied before every consistency
+    # decision, of a candidate or of a backtracking node, so it never holds
+    # more leaves than one decision adds; a run of failing candidates too
+    monkeypatch.setattr(analysis, "MEMO_LIMIT", 0)
+    insert, checks_pass = analysis.OverlapMemo.insert, analysis._checks_pass
+    peak = most_added = added = 0
+
+    def counted_insert(memo, *args):
+        nonlocal peak, added
+        insert(memo, *args)
+        added += 1
+        peak = max(peak, len(memo))
+
+    def counted_checks_pass(*args):
+        nonlocal most_added, added
+        added = 0
+        try:
+            return checks_pass(*args)
+        finally:
+            most_added = max(most_added, added)
+
+    monkeypatch.setattr(analysis.OverlapMemo, "insert", counted_insert)
+    monkeypatch.setattr(analysis, "_checks_pass", counted_checks_pass)
+    for args in [(3, 0, 4, 1), (2, 0, 5, 1)]:
+        peak = most_added = 0
+        assert list(search_tables(*args))
+        assert 0 < peak <= most_added, (args, peak, most_added)
+
+
 def consistent(wg: WindowGroup, memo: analysis.OverlapMemo) -> bool:
     """Whether the shift-invariant table passes the overlap test, decided
     through the overlap memo; a table that is not strictly interior raises

@@ -475,11 +475,11 @@ def stored_terms(m):
 @st.composite
 def unitriangular_pairs(draw):
     """Two unitriangular matrices of one size over one F_p: both upper, both
-    lower, or one of each, which the product takes row by row.  Each entry
-    of b off the diagonal is drawn afresh or is the negation of a's entry in
-    the same place (its mirror image when the orientations differ), so that
-    sums of entries cancel to zero; in a 3x3 pair of one orientation the
-    corner of b may also cancel the whole corner of a * b."""
+    lower, or one of each, all of which the product takes row by row.  Each
+    entry of b off the diagonal is drawn afresh or is the negation of a's
+    entry in the same place (its mirror image when the orientations
+    differ), so that sums of entries cancel to zero; in a 3x3 pair of one
+    orientation the corner of b may also cancel the whole corner of a * b."""
     fp = Fp(draw(st.sampled_from((2, 3, 5, 7))))
     n = draw(st.sampled_from((2, 3)))
     upper_a, upper_b = draw(st.sampled_from(list(itertools.product((True, False), repeat=2))))
@@ -563,6 +563,8 @@ def test_product_matches_schoolbook(pair):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(pair=unitriangular_pairs())
 def test_unitriangular_product_matches_schoolbook(pair):
+    # the row-by-row product on the factors of every root-group product,
+    # with entries that cancel to zero
     check_products(*pair)
 
 
@@ -602,12 +604,16 @@ def test_commutator_refuses_mixed_moduli_and_sizes():
 @pytest.mark.parametrize("tag", ["standard", "unitary"])
 def test_identity_of_lower_factors_reads_off(tag):
     # a product or commutator of lower factors that is the identity is upper,
-    # so the positive read-off takes it
+    # so the positive read-off takes it, and the negative one takes it too;
+    # a commutator is formed with its shape known
     ex = make_example(tag, 5)
     low = ex.root_generator(Root(2, -1), 1)
-    for m in (low * low.inv(), commutator(low, low), commutator(low, low.inv())):
-        assert m.is_identity() and m._shape is not None
+    commutators = [commutator(low, low), commutator(low, low.inv())]
+    assert all(c._shape is not None for c in commutators)
+    for m in [low * low.inv(), *commutators]:
+        assert m.is_identity()
         assert ex.normal_form(m, 0, 4) == (0,) * 5
+        assert ex.normal_form_negative(m, 0, 4) == (0,) * 5
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
