@@ -22,8 +22,20 @@ When no letter of any word is an endpoint of a pair, every word is central
 and a crossing leaves the letters above c in place: x_c^e then crosses in
 one step, adding e * e_l * w(c, l) for each letter x_l^(e_l) above c, which
 is what e memoised crossings add.  The fold takes that step on such a
-window and keeps no crossings there.  Multiplication and inversion only feed
-the fold letters, so it is the one multiplication rule.
+window and keeps no crossings there.  Multiplication only feeds the fold
+letters, so it is the one multiplication rule, and the closed forms below
+are read off from its central step.
+
+On a central window the fold reads the entries of a only at pair endpoints
+and writes the words only at letters, which are never endpoints, so
+a * b = a + b + beta(a, b) with beta(a, b) = sum over pairs c < l of
+a_l * b_c * w(c, l), bilinear.  A vector d that is zero at every endpoint,
+as every value of beta is, is central: u * d = u + d.  So a * b is
+(b * a) * d with d = beta(a, b) - beta(b, a), which makes the commutator
+[a, b] = (b a)^-1 (a b) equal to d; and a * (-a + beta(a, a)) =
+(a * -a) * beta(a, a) = beta(a, -a) + beta(a, a) = 0, so a^-1 = -a +
+beta(a, a).  `comm_vec` and `inv_vec` take these closed forms there, in one
+pass over the crossing words and with no product.
 
 `closure` enumerates a subgroup by cosets, and forms each coset H r as the
 image of H under one right-multiplication map h -> h r, staged once per
@@ -313,8 +325,21 @@ class WindowGroup:
 
     def inv_vec(self, a: tuple) -> tuple:
         """Normal form of a^-1: the letters x_c^(-e) of a in descending order,
-        folded onto the identity."""
+        folded onto the identity.
+
+        On a central window a * b = a + b + beta(a, b) with beta(a, b) the sum
+        of a_l * b_c * w(c, l) over the pairs c < l, bilinear and central, so
+        a^-1 = -a + beta(a, a): starting from -a, one pass over the crossing
+        words adds f * w(c, l) with f = a_l * a_c mod p, and no product is
+        formed."""
         p = self.p
+        if self._central:
+            vec = [-e for e in a]
+            for (c, l), word in self._cross.items():
+                if f := a[l] * a[c] % p:
+                    for k, ek in word:
+                        vec[k] += f * ek
+            return tuple(v % p for v in vec)
         vec = [0] * self.width
         self._fold(vec, [(c, r) for c, e in enumerate(a) if (r := -e % p)])
         return tuple(vec)
@@ -332,7 +357,22 @@ class WindowGroup:
         return out
 
     def comm_vec(self, a: tuple, b: tuple) -> tuple:
-        return self.mul_vec(self.inv_vec(self.mul_vec(b, a)), self.mul_vec(a, b))
+        """Normal form of [a, b] = a^-1 b^-1 a b, formed as (b a)^-1 (a b).
+
+        On a central window a * b = a + b + beta(a, b) with beta(a, b) the sum
+        of a_l * b_c * w(c, l) over the pairs c < l, bilinear and central, so
+        [a, b] = beta(a, b) - beta(b, a): one pass over the crossing words
+        adds f * w(c, l) with f = (a_l * b_c - b_l * a_c) mod p, and no
+        product is formed."""
+        if not self._central:
+            return self.mul_vec(self.inv_vec(self.mul_vec(b, a)), self.mul_vec(a, b))
+        p = self.p
+        vec = [0] * self.width
+        for (c, l), word in self._cross.items():
+            if f := (a[l] * b[c] - b[l] * a[c]) % p:
+                for k, ek in word:
+                    vec[k] += f * ek
+        return tuple(v % p for v in vec)
 
     def shift_vec(self, a: tuple, k: int) -> tuple:
         """Translate the support by 2k generator indices; an explicit range

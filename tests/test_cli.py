@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from test_collect_oracle import interior_tables
 
 from zsys.cli import main
+from zsys.matgroup import LaurentMatrix, commutator, make_example
 from zsys.zsystem import overlap_violation
 
 
@@ -103,6 +105,41 @@ def test_comm_subcommand(capsys):
     )
     assert code == 0
     assert json.loads(out)["e"] == [0, 2, 0]
+
+
+def test_comm_subcommand_matches_matrix_commutators(capsys):
+    # seeded words on unitary p=5 [0, 6], a central window, with exponents
+    # that are negative and at least p: comm's "e" is the normal form of the
+    # commutator of the words' matrices, and nf's that of each word's matrix
+    ex = make_example("unitary", 5)
+    source = ("--example", "unitary", "--p", "5", "--window", "0", "6")
+    rng = random.Random("comm-unitary-5")
+
+    def matrix(word):
+        m = LaurentMatrix.identity(ex.fp, ex.dim)
+        for idx, e in word:
+            m = m * ex.u(idx, e)
+        return m
+
+    def spelled(word):
+        return " ".join(f"{idx}:{e}" for idx, e in word)
+
+    exponents = []
+    for _ in range(12):
+        left, right = (
+            [(rng.randrange(7), rng.randrange(-10, 11)) for _ in range(rng.randrange(1, 6))]
+            for _ in range(2)
+        )
+        exponents += [e for _, e in left + right]
+        for word in (left, right):
+            code, out, _ = run_cli(capsys, "nf", *source, "--word", spelled(word))
+            assert (code, json.loads(out)["e"]) == (0, list(ex.normal_form(matrix(word), 0, 6)))
+        code, out, _ = run_cli(
+            capsys, "comm", *source, "--left", spelled(left), "--right", spelled(right)
+        )
+        expected = ex.normal_form(commutator(matrix(left), matrix(right)), 0, 6)
+        assert (code, json.loads(out)["e"]) == (0, list(expected))
+    assert min(exponents) < 0 and max(exponents) >= 5
 
 
 def test_derive_then_axioms_via_table_file(tmp_path, capsys):

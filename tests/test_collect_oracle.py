@@ -10,6 +10,12 @@ tables drawn here are random and mostly inconsistent.
 fold's one-step crossing replaced on central tables, those where no letter
 of any word is an endpoint of a pair.  Central tables are drawn separately,
 so that the one-step crossing meets both oracles on every draw.
+
+On a central table `WindowGroup.comm_vec` and `inv_vec` no longer collect:
+they take closed forms, and `closed_form_inv` is now the library's own
+formula.  So their independent oracles are the generic fold of the window's
+`WindowGroup.reading` twin, which collects through the same crossing words
+but never takes a central step, and list rewriting.
 """
 
 import pytest
@@ -161,6 +167,36 @@ def test_one_step_crossing_matches_oracles(data):
         a, b = data.draw(vector), data.draw(vector)
         assert wg.mul_vec(a, b) == closed_form_mul(wg, a, b)
         assert wg.inv_vec(a) == closed_form_inv(wg, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_closed_form_commutator_and_inverse_match_oracles(data):
+    # on a central table comm_vec and inv_vec form no product; the reading
+    # twin's generic fold and list rewriting must agree with them on the
+    # identity, on normal forms and on vectors that are not reduced mod p
+    wg = data.draw(central_tables())
+    assert wg._central
+    twin = WindowGroup.reading(wg.p, wg.lo, wg.hi, wg._cross)
+    assert not twin._central
+    p = wg.p
+    reduced = st.tuples(*[st.integers(0, p - 1)] * wg.width)
+    unreduced = st.tuples(*[st.integers(-2 * p, 2 * p)] * wg.width)
+    vectors = [wg.identity_vec] + [data.draw(reduced) for _ in range(2)]
+    vectors += [data.draw(unreduced) for _ in range(2)]
+
+    def inverse_letters(a):
+        return [(idx, -e) for idx, e in reversed(letters_of(wg, a))]
+
+    for a in vectors:
+        inv = wg.inv_vec(a)
+        assert inv == twin.inv_vec(a) == oracle_collect(wg, inverse_letters(a))
+        assert wg.mul_vec(a, inv) == wg.identity_vec
+        for b in vectors:
+            comm = wg.comm_vec(a, b)
+            word = inverse_letters(a) + inverse_letters(b) + letters_of(wg, a) + letters_of(wg, b)
+            assert comm == twin.comm_vec(a, b) == oracle_collect(wg, word)
+            assert wg.mul_vec(comm, wg.comm_vec(b, a)) == wg.identity_vec
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

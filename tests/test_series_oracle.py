@@ -261,8 +261,9 @@ def test_search_forms_the_series_of_non_central_tables_only(monkeypatch):
 
 def check_commutators_formed_once(wg):
     """The series forms [v, g] once for each generator v of each term and
-    each window generator g, and inverts nothing but inside those
-    commutators: it forms no conjugate."""
+    each window generator g, and inverts nothing outside those commutators:
+    it forms no conjugate.  A commutator inverts once on a window that is
+    not central and never on a central one, where it has a closed form."""
     calls, inverses = Counter(), []
     comm_vec, inv_vec = WindowGroup.comm_vec, WindowGroup.inv_vec
 
@@ -281,7 +282,7 @@ def check_commutators_formed_once(wg):
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     expected = Counter((v, g) for term in series[1:] for v in term.generators for g in window_gens)
     assert calls == expected, wg.comm
-    assert len(inverses) == sum(calls.values()), wg.comm
+    assert len(inverses) == (0 if wg._central else sum(calls.values())), wg.comm
     assert [t.elements for t in series[1:]] == [
         t.elements for t in oracle_lower_central_series(wg)[1:]
     ], wg.comm
