@@ -12,9 +12,10 @@ from zsys.matgroup import (
     StandardExample,
     UnitaryExample,
     commutator,
+    conjugate,
     make_example,
 )
-from zsys.rootsystem import Root
+from zsys.rootsystem import Root, alpha, negate
 
 
 def to_lists(m):
@@ -651,3 +652,85 @@ def test_unitary_even_generator_inverse(p):
         for a in range(p):
             assert ex.u(n, a) * ex.u(n, -a) == identity
             assert ex.u(n, a).inv() == ex.u(n, -a)
+
+
+def monomial_matrix(fp, n, rng):
+    """A drawn monomial matrix: a random permutation of the columns, and in
+    each row one random unit c*t^z with c in 1..p-1 and z in [-3, 3]."""
+    zero = LaurentPoly.zero(fp)
+    perm = rng.sample(range(n), n)
+    rows = [[zero] * n for _ in range(n)]
+    for k, j in enumerate(perm):
+        rows[k][j] = LaurentPoly.monomial(fp, rng.randrange(1, fp.p), rng.randint(-3, 3))
+    return LaurentMatrix(fp, rows)
+
+
+def conjugators(ex, rng):
+    """Every torus element of the family, for the standard family every
+    reflection element m(i, lam) = v u v and its inverse, and eight drawn
+    monomial matrices of the family's size."""
+    p, fp = ex.p, ex.fp
+    out = [ex.h(lam) for lam in range(1, p)]
+    if ex.tag == "standard":
+        for i, lam in itertools.product((0, 1), range(1, p)):
+            v = ex.root_generator(negate(alpha(i)), (-fp.inv(lam)) % p)
+            m = v * ex.root_generator(alpha(i), lam) * v
+            out += [m, LaurentMatrix(fp, m.rows).inv()]
+    return out + [monomial_matrix(fp, ex.dim, rng) for _ in range(8)]
+
+
+@pytest.mark.parametrize(
+    "tag, p", [("standard", 2), ("standard", 3), ("standard", 5), ("standard", 7),
+               ("unitary", 3), ("unitary", 5), ("unitary", 7)]
+)
+def test_conjugate_matches_products(tag, p):
+    # a^b in closed form against b^-1 a b formed by the row-by-row product
+    # and by schoolbook products, for every root-group generator on [-3, 3]
+    # and every monomial conjugator; no term map of a changes, not even
+    # after its conjugate is multiplied and conjugated again
+    ex = make_example(tag, p)
+    rng = random.Random(p)
+    gens = [
+        ex.root_generator(Root(z, eps), lam)
+        for z in range(-3, 4) for eps in (1, -1) for lam in range(1, p)
+    ]
+    for b in conjugators(ex, rng):
+        b_inv = LaurentMatrix(b.fp, b.rows).inv()
+        for a in gens:
+            before = stored_terms(a)
+            c = conjugate(a, b)
+            assert c == b_inv * a * b
+            assert c == schoolbook_mul(schoolbook_mul(b_inv, a), b)
+            check_stored(c)
+            assert c * c == schoolbook_mul(c, c)
+            assert conjugate(c, b) == b_inv * c * b
+            assert stored_terms(a) == before
+
+
+def test_conjugate_by_identity_shares_entries():
+    # a shift of 0 and a scale of 1 leave every entry a's own
+    a = UnitaryExample(5).u(2, 3)
+    c = conjugate(a, LaurentMatrix.identity(a.fp, 3))
+    assert c == a
+    assert all(x is y for row, row_c in zip(a.rows, c.rows) for x, y in zip(row, row_c))
+
+
+def test_conjugate_refuses_non_monomial_conjugators():
+    fp = Fp(5)
+    one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
+    t = LaurentPoly.monomial(fp, 2, 1)
+    f = from_pairs(fp, [[0, 1], [1, 1]])
+    a = StandardExample(5).u(1, 2)
+    for b in (
+        StandardExample(5).u(0, 1),  # two nonzero entries in a row
+        LaurentMatrix(fp, [[f, zero], [zero, one]]),  # an entry of two terms
+        LaurentMatrix(fp, [[t, zero], [one, zero]]),  # two rows in one column
+        LaurentMatrix(fp, [[zero, zero], [zero, one]]),  # a zero row
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not monomial"):
+                conjugate(a, b)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        conjugate(a, StandardExample(7).h(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        conjugate(a, UnitaryExample(5).h(2))

@@ -7,7 +7,7 @@ import pytest
 from test_matgroup import to_lists
 
 from zsys.cli import main as cli_main
-from zsys.matgroup import StandardExample, UnitaryExample, make_example
+from zsys.matgroup import LaurentMatrix, StandardExample, UnitaryExample, make_example
 from zsys import rgd
 from zsys.rgd import rgd3_m_map, rgd_check
 from zsys.rootsystem import Root, alpha, negate, reflect
@@ -88,6 +88,17 @@ def test_rgd3_rejects_unitary_and_bad_args():
         rgd3_m_map(ex, 2, 1, 2)
     with pytest.raises(ValueError):
         rgd3_m_map(ex, 0, 0, 2)
+    # a range with no root to check is refused as rgd_check refuses it,
+    # rather than certified by an empty loop
+    ex5 = StandardExample(5)
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="root range K must be at least 1"):
+            rgd3_m_map(ex5, 0, 1, K)
+        with pytest.raises(ValueError, match="root range K must be at least 1"):
+            rgd3_m_map(ex5, 0, 1, K, rgd._generators(ex5, 2))
+    # a generator table narrower than [-K, K] is refused by the root it lacks
+    with pytest.raises(ValueError, match=r"no root \(-4, 1\)"):
+        rgd3_m_map(ex5, 0, 1, 4, rgd._generators(ex5, 2))
 
 
 def test_rgd6_torus_scaling():
@@ -137,8 +148,6 @@ def test_rgd3_with_and_without_the_generator_table():
         assert rgd3_m_map(ex, i, lam, 3, table)[0] is table[i, lam]
         assert rgd3_m_map(ex, i, lam, 3, rebuilt)[0] is reflections[i, lam]
         assert report["pass"]
-    # a range that leaves out a simple root still finds it
-    assert rgd3_m_map(ex, 1, 2, 0)[1]["pass"]
 
 
 RGD4_REPORT = {
@@ -193,6 +202,25 @@ def test_rgd_reports_at_p3_K2():
         },
         "pass": True,
     })
+
+
+@pytest.mark.parametrize("tag, products", [("standard", 48), ("unitary", 0)])
+def test_rgd_forms_no_conjugation_product(monkeypatch, tag, products):
+    # RGD3 and RGD6 conjugate by monomial matrices in closed form, so at p=5,
+    # K=4 the only matrix products are the standard family's 16 reflection
+    # builds (two per m = v u v, one m per i and lam) and its 32 torus
+    # quotients m^-1 m' (one per i, lam and lam'); forming each conjugate
+    # as a product of three matrices takes 1,344 and 144
+    mul = LaurentMatrix.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentMatrix, "__mul__", counted)
+    assert rgd_check(make_example(tag, 5), 4)["pass"]
+    assert len(calls) == products
 
 
 def test_rgd2_witness_is_the_first_failure_in_loop_order(monkeypatch):
