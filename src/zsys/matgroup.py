@@ -17,6 +17,8 @@ builds and torus quotients, and no conjugation product.
 
 from __future__ import annotations
 
+import weakref
+
 from .laurent import Fp, LaurentPoly, mul_terms
 from .rootsystem import Root, check_root
 
@@ -60,9 +62,10 @@ class LaurentMatrix:
     shape (upper unitriangular, lower unitriangular or neither) once
     `_unitriangular` has computed it or `commutator` has formed the matrix
     with it, and, for a monomial matrix, its `_conjugation` plan once it
-    has conjugated."""
+    has conjugated.  An inverse refers back to its matrix only weakly, so
+    the two form no reference cycle."""
 
-    __slots__ = ("fp", "n", "rows", "_hash", "_inv", "_shape", "_conj")
+    __slots__ = ("fp", "n", "rows", "_hash", "_inv", "_shape", "_conj", "__weakref__")
 
     def __init__(self, fp: Fp, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -223,12 +226,16 @@ class LaurentMatrix:
 
     def inv(self) -> "LaurentMatrix":
         """Inverse via the adjugate, computed on the first call and kept; the
-        inverse keeps this matrix as its own inverse.  For determinant 1 (all
-        group elements) this is division free; any other unit determinant (a
-        monomial c*t^z) is scaled out exactly.  A determinant that is not a
-        unit raises ValueError on every call."""
-        if self._inv is not None:
-            return self._inv
+        inverse keeps a weak reference to this matrix, and returns it as its
+        own inverse while it lives.  For determinant 1 (all group elements)
+        this is division free; any other unit determinant (a monomial c*t^z)
+        is scaled out exactly.  A determinant that is not a unit raises
+        ValueError on every call."""
+        inverse = self._inv
+        if inverse.__class__ is weakref.ref:
+            inverse = inverse()
+        if inverse is not None:
+            return inverse
         det = self.det()
         if det.is_one():
             unit = None
@@ -252,7 +259,7 @@ class LaurentMatrix:
         if unit is not None:
             adj = [[e * unit for e in row] for row in adj]
         inverse = LaurentMatrix._trusted(self.fp, tuple(map(tuple, adj)))
-        inverse._inv = self
+        inverse._inv = weakref.ref(self)
         self._inv = inverse
         return inverse
 

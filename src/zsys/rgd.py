@@ -62,6 +62,37 @@ def _generators(example, K: int) -> dict:
     return gen
 
 
+def _rgd2(example, gen: dict, K: int):
+    """The RGD2 witness (None when every commutator reads off) and up to
+    eight nonzero interior words, over the root pairs z < z2 of [-K, K] of
+    each sign eps and the parameters lam, mu of 1, ..., p-1, in that order.
+    The roots, the read-off and the right-hand generators change only with
+    (z, z2, eps), and the left-hand generator only with lam, so each is
+    looked up once there."""
+    units = range(1, example.p)
+    samples = []
+    pairs = itertools.combinations(range(-K, K + 1), 2)
+    for (z, z2), eps in itertools.product(pairs, (1, -1)):
+        root, root2 = Root(z, eps), Root(z2, eps)
+        read = example.normal_form if eps == 1 else example.normal_form_negative
+        rights = [gen[root2, mu] for mu in units]
+        for lam in units:
+            left = gen[root, lam]
+            for mu, right in zip(units, rights):
+                c = commutator(left, right)
+                try:
+                    vec = read(c, z + 1, z2 - 1)
+                except ValueError as err:
+                    witness = {
+                        "z": z, "z2": z2, "eps": eps, "lam": lam, "mu": mu, "error": str(err),
+                    }
+                    return witness, samples
+                if lam == mu == 1 and len(samples) < 8 and any(vec):
+                    word = {z + 1 + k: e for k, e in enumerate(vec) if e}
+                    samples.append({"z": z, "z2": z2, "eps": eps, "word": word})
+    return None, samples
+
+
 def rgd_check(example, K: int) -> dict:
     """Axiom report over the root range [-K, K].  A range and modulus whose
     RGD2 check would form more than RGD2_BUDGET commutators raise
@@ -87,20 +118,7 @@ def rgd_check(example, K: int) -> dict:
     )
     checks["RGD1"] = report_entry(witness)
 
-    witness = None
-    samples = []
-    pairs = itertools.combinations(range(-K, K + 1), 2)
-    for (z, z2), eps, lam, mu in itertools.product(pairs, (1, -1), units, units):
-        c = commutator(gen[Root(z, eps), lam], gen[Root(z2, eps), mu])
-        read = example.normal_form if eps == 1 else example.normal_form_negative
-        try:
-            vec = read(c, z + 1, z2 - 1)
-        except ValueError as err:
-            witness = {"z": z, "z2": z2, "eps": eps, "lam": lam, "mu": mu, "error": str(err)}
-            break
-        if lam == mu == 1 and len(samples) < 8 and any(vec):
-            word = {z + 1 + k: e for k, e in enumerate(vec) if e}
-            samples.append({"z": z, "z2": z2, "eps": eps, "word": word})
+    witness, samples = _rgd2(example, gen, K)
     checks["RGD2"] = report_entry(witness, interior_words=samples)
 
     if isinstance(example, StandardExample):

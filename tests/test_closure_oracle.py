@@ -11,11 +11,15 @@ consistent: the search tables at p = 2 and p = 3, central and not, random
 central tables that pass the overlap test, and the central unitary window
 at p = 3 on [0, 7].
 
-`closure` forms each coset as the image of the subgroup under
-`WindowGroup.right_mul`, which on a central window folds the letters of the
-representative onto each element without a product; it is checked here
-against `mul_vec`, and against the generic fold of a window that `reading`
-makes from the same crossing words.
+`closure` forms a coset by concatenation when its representative's lowest
+letter lies above every letter of the seeds taken so far, and each other
+coset as the image of the subgroup under `WindowGroup.right_mul`, which on a
+central window folds the letters of the representative onto each element
+without a product.  The concatenation rule is checked here against
+`mul_vec` on random strictly interior tables, consistent or not, and on the
+class-3 search tables; `right_mul` against `mul_vec`, and both against the
+generic fold of a window that `reading` makes from the same crossing words.
+The window generators in index order need no `right_mul` at all.
 """
 
 import functools
@@ -186,6 +190,37 @@ def test_closure_cap_inside_a_coset():
     with pytest.raises(CapExceeded) as err:
         closure(wg, seeds, cap=50_000)
     assert str(err.value) == "closure exceeded cap 50000 (at 50001 elements)"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_a_letter_above_every_letter_lands_in_place(data):
+    # on any strictly interior table, consistent or not: when every letter
+    # of h lies below r's lowest letter, h r is the concatenation, by the
+    # central fold and by the generic one
+    windows = interior_tables() | central_tables() | st.sampled_from(non_central_windows())
+    wg = data.draw(windows)
+    low = data.draw(st.integers(0, wg.width - 1))
+    digits = st.integers(0, wg.p - 1)
+    h = tuple(data.draw(st.lists(digits, min_size=low, max_size=low)))
+    h += (0,) * (wg.width - low)
+    rest = wg.width - low - 1
+    r = (0,) * low + (data.draw(st.integers(1, wg.p - 1)),)
+    r += tuple(data.draw(st.lists(digits, min_size=rest, max_size=rest)))
+    generic = WindowGroup.reading(wg.p, wg.lo, wg.hi, wg._cross)
+    assert wg.mul_vec(h, r) == generic.mul_vec(h, r) == h[:low] + r[low:]
+
+
+def test_generators_in_index_order_need_no_coset_product(monkeypatch):
+    # each generator's cosets are concatenations, so right_mul is never used
+    def refuse(self, r):
+        raise AssertionError("closure formed a coset by products")
+
+    windows = [unitary_window(5, 0, 6), max(non_central_windows(), key=lambda wg: wg.order)]
+    monkeypatch.setattr(WindowGroup, "right_mul", refuse)
+    for wg in windows:
+        seeds = [wg.gen_vec(i) for i in wg.indices()]
+        assert len(closure(wg, seeds)) == wg.order
 
 
 @functools.lru_cache(maxsize=None)

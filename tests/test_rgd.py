@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -221,6 +222,36 @@ def test_rgd_forms_no_conjugation_product(monkeypatch, tag, products):
     monkeypatch.setattr(LaurentMatrix, "__mul__", counted)
     assert rgd_check(make_example(tag, 5), 4)["pass"]
     assert len(calls) == products
+
+
+def test_rgd_leaves_no_matrix_to_the_cyclic_collector(monkeypatch):
+    # an inverse refers back to its matrix weakly, so no matrix of a check
+    # sits in a reference cycle; and each of the 8 reflection elements of
+    # the standard family at p=5 is still inverted once
+    det = LaurentMatrix.det
+    inverted = []
+
+    def counted(self):
+        inverted.append(None)
+        return det(self)
+
+    monkeypatch.setattr(LaurentMatrix, "det", counted)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for tag in ("standard", "unitary"):
+            assert rgd_check(make_example(tag, 5), 4)["pass"]
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, LaurentMatrix)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == []
+    assert len(inverted) == 8
 
 
 def test_rgd2_witness_is_the_first_failure_in_loop_order(monkeypatch):

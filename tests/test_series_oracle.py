@@ -15,13 +15,14 @@ presume a consistent table, so the tables drawn here are: the search tables at p
 overlap test.
 """
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_closure_oracle import outcome, searched_windows
+from test_closure_oracle import non_central_windows, outcome, searched_windows, unitary_window
 from test_collect_oracle import central_tables
 
 from zsys import analysis
@@ -329,3 +330,75 @@ def test_lemma_checks_match_oracle_on_drawn_tables(data):
         same_report(got, expected)
     else:
         assert got == expected
+
+
+def quotient_bilinearity(wg, trials: int, seed: int):
+    """The bilinearity entry of the lemma report with every trial decided by
+    the plain quotient test, base^-1 lhs in gamma_4 whether or not the two
+    sides are equal, and the number of trials whose sides differ."""
+    rng = random.Random(seed)
+    series = lower_central_series(wg)
+    derived = series[1].sorted_elements()
+    gamma4 = series[min(3, len(series) - 1)].elements
+    witness, unequal = None, 0
+    for _ in range(trials):
+        y = derived[rng.randrange(len(derived))]
+        y2 = derived[rng.randrange(len(derived))]
+        x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
+        lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
+        base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
+        unequal += lhs != base
+        if wg.mul_vec(wg.inv_vec(base), lhs) not in gamma4:
+            witness = {"y": list(y), "y2": list(y2), "x": list(x)}
+            break
+    entry = {"pass": witness is None, "trials": trials}
+    if witness is not None:
+        entry["witness"] = witness
+    return entry, unequal
+
+
+def unitriangular_window(p: int, n: int) -> WindowGroup:
+    """UT_n(F_p), of class n - 1, on its root elements 1 + E_rs (r < s) in
+    lexicographic order, a convex order: the root r-t of the one nontrivial
+    commutator [1 + E_st, 1 + E_rs] = 1 - E_rt lies between r-s and s-t, so
+    every word is strictly interior."""
+    roots = list(itertools.combinations(range(n), 2))
+    place = {root: k for k, root in enumerate(roots)}
+    comm = {
+        (i, j): {place[a[0], b[1]]: -1}
+        for (i, a), (j, b) in itertools.combinations(enumerate(roots), 2)
+        if a[1] == b[0]
+    }
+    return WindowGroup(p, 0, len(roots) - 1, comm)
+
+
+def test_equal_sides_skip_the_quotient_without_changing_a_report():
+    # lemma_checks forms the quotient only when the two sides differ.  For y
+    # and y2 in gamma_2, [y y2, x] = [y, x] [[y, x], y2] [y2, x], and
+    # [[y, x], y2] lies in [gamma_3, gamma_2], inside gamma_5: so the sides
+    # are equal on every window of class at most 4, the class-3 search
+    # tables and the central unitary window among them, and differ only
+    # from class 5 on, as on UT_6(F_2)
+    cases = [(wg, 50, 0) for wg in non_central_windows()]
+    cases += [(unitary_window(5, 0, 7), 200, 0), (unitriangular_window(2, 6), 200, None)]
+    for wg, trials, unequal in cases:
+        counts = 0
+        for seed in range(3):
+            expected, count = quotient_bilinearity(wg, trials, seed)
+            got = lemma_checks(wg, trials=trials, seed=seed)["checks"]["commutator_bilinearity"]
+            assert got == expected, wg.comm
+            counts += count
+        if unequal is None:
+            assert nilpotency_class(wg) == 5 and counts > 0
+        else:
+            assert counts == unequal
+
+
+def test_equal_sides_form_no_inverse(monkeypatch):
+    # on the central unitary window every trial has equal sides
+    def refuse(self, a):
+        raise AssertionError("a trial formed an inverse")
+
+    wg = unitary_window(5, 0, 7)
+    monkeypatch.setattr(WindowGroup, "inv_vec", refuse)
+    assert lemma_checks(wg, trials=500, seed=1)["pass"]
