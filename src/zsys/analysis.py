@@ -4,9 +4,10 @@ shift-invariant closures, lemma property checks, and the exhaustive search
 over shift-invariant commutation tables.
 
 Subgroups are materialized element sets (windows at desk scale are small),
-enumerated by cosets in `zsystem.closure`, which refuses an inconsistent
-table, and so does every function here that forms a subgroup; the search
-stores its overlap outcome on each window it builds.  Series terms are built
+enumerated by cosets in `zsystem.closure` and kept in its packed form
+(`WindowGroup.pack`).  `closure` refuses an inconsistent table, and so does
+every function here that forms a subgroup; the search stores its overlap
+outcome on each window it builds.  Series terms are built
 from generators: X' is the normal closure of the table words
 (on a consistent table [x_j, x_i] = w(i, j)), and gamma_(k+1) the normal
 closure of the commutators of the generators of gamma_k with the window
@@ -59,35 +60,47 @@ CutoffResult = namedtuple("CutoffResult", ["value", "witness"])
 
 class Subgroup:
     """A subgroup of a window group as an explicit, enumerated element set.
-    A subgroup built by `normal_closure` also keeps, as `commutators`, the
-    nontrivial commutators [v, g] of its generators v with the window
-    generators g."""
+
+    It keeps, as `packed`, the set of packed elements (`WindowGroup.pack`)
+    that `closure` returns; `elements` is the same set as exponent tuples,
+    built on first use.  Membership, subset (`packed <`), equality and
+    `sorted_elements` read the packed set.  A subgroup built by
+    `normal_closure` also keeps, as `commutators`, the nontrivial
+    commutators [v, g] of its generators v with the window generators g."""
 
     commutators = None
 
-    def __init__(self, window: WindowGroup, generators, elements):
+    def __init__(self, window: WindowGroup, generators, packed):
         self.window = window
         self.generators = tuple(generators)
-        self.elements = frozenset(elements)
+        self.packed = frozenset(packed)
+
+    @functools.cached_property
+    def elements(self) -> frozenset:
+        return frozenset(map(tuple, self.packed))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.packed)
 
     def __contains__(self, vec) -> bool:
-        return tuple(vec) in self.elements
+        try:
+            return self.window.pack(vec) in self.packed
+        except ValueError:
+            # an entry bytes cannot hold lies outside 0..p-1: not a member
+            return False
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.elements == other.elements
+        return isinstance(other, Subgroup) and self.packed == other.packed
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash(self.packed)
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements)
+        return [tuple(v) for v in sorted(self.packed)]
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.window!r})"
@@ -112,6 +125,7 @@ def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     seeds = [tuple(v) for v in gen_vecs]
     gens = {v for v in seeds if v != wg.identity_vec}
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    pack = wg.pack
     comms, fresh = set(), gens
     while True:
         elements = closure(wg, sorted(gens), cap)
@@ -120,7 +134,7 @@ def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
             for g in window_gens:
                 w = wg.comm_vec(v, g)
                 comms.add(w)
-                if w not in elements:
+                if pack(w) not in elements:
                     new.add(w)
         if not new:
             term = Subgroup(wg, sorted(gens), elements)
@@ -228,7 +242,8 @@ def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
             gens.append(wg.shift_vec(vec, k))
             k += 1
     sub = generate(wg, gens, cap)
-    starts = {wg.stats_vec(v).start for v in sub.elements if v != wg.identity_vec}
+    identity = wg.pack(wg.identity_vec)
+    starts = {wg.stats_vec(v).start for v in sub.packed if v != identity}
     info = {
         "even_start_nonempty": any(s % 2 == 0 for s in starts),
         "odd_start_nonempty": any(s % 2 == 1 for s in starts),
@@ -289,7 +304,7 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     series = lower_central_series(wg, cap)
     derived = series[1].sorted_elements()
     # gamma_4, the trivial last term when the series is shorter
-    gamma4 = series[min(3, len(series) - 1)].elements
+    gamma4 = series[min(3, len(series) - 1)]
     witness = None
     for _ in range(trials):
         y = derived[rng.randrange(len(derived))]
@@ -306,7 +321,7 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
         (
             {"term_order": term.order, "image_order": image.order}
             for term, image in zip(series[1:], series[2:])
-            if not image.elements < term.elements
+            if not image.packed < term.packed
         ),
         None,
     )

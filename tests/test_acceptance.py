@@ -165,7 +165,7 @@ def test_criterion_6_cancellation_and_alternation():
     t0 = time.perf_counter()
     wg = derive_window(make_example("unitary", 3), 0, 5)
     p = wg.p
-    elements = sorted(closure(wg, [wg.gen_vec(i) for i in wg.indices()]))
+    elements = sorted(map(tuple, closure(wg, [wg.gen_vec(i) for i in wg.indices()])))
     assert len(elements) == 729
     stats = {v: wg.stats_vec(v) for v in elements}
     nonid = [v for v in elements if v != wg.identity_vec]

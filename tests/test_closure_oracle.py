@@ -20,6 +20,11 @@ without a product.  The concatenation rule is checked here against
 class-3 search tables; `right_mul` against `mul_vec`, and both against the
 generic fold of a window that `reading` makes from the same crossing words.
 The window generators in index order need no `right_mul` at all.
+
+`closure` returns its elements packed (`WindowGroup.pack`: bytes when
+p <= 256, tuples above), and `right_mul` maps packed elements to packed
+ones; the oracles give tuples, so results are compared as tuples, at both
+packings.
 """
 
 import functools
@@ -48,6 +53,11 @@ from zsys.zsystem import (
     derive_window,
     overlap_violation,
 )
+
+
+def closure_tuples(wg, seed_vecs, cap=None) -> set:
+    """`closure` with its packed elements read back as exponent tuples."""
+    return set(map(tuple, closure(wg, seed_vecs, cap)))
 
 
 def bfs_closure(wg, seed_vecs, cap=None) -> set:
@@ -105,10 +115,10 @@ def test_closure_matches_bfs(data):
     if seeds:
         seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=2))
     expected = bfs_closure(wg, seeds)
-    assert closure(wg, seeds) == expected
-    assert closure(wg, data.draw(st.permutations(seeds))) == expected
+    assert closure_tuples(wg, seeds) == expected
+    assert closure_tuples(wg, data.draw(st.permutations(seeds))) == expected
     cap = data.draw(st.integers(1, len(expected) + 1))
-    assert outcome(closure, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
+    assert outcome(closure_tuples, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -139,7 +149,7 @@ def test_subgroup_entry_points_refuse_exactly_the_inconsistent_tables(wg, data):
         else:
             assert witness is None, wg.comm
     if witness is None:
-        assert outcome(closure, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
+        assert outcome(closure_tuples, wg, seeds, cap) == outcome(bfs_closure, wg, seeds, cap)
 
 
 def test_closure_refuses_a_table_it_enumerated_wrongly():
@@ -165,8 +175,8 @@ def test_closure_cap_message():
 def test_closure_reduces_its_seeds():
     # a seed that is not a normal form generates what its normal form does
     wg = WindowGroup(5, 0, 2, {})
-    assert closure(wg, [(6, 0, 0)]) == {(k, 0, 0) for k in range(5)}
-    assert closure(wg, [(5, 0, -5)]) == {wg.identity_vec}
+    assert closure_tuples(wg, [(6, 0, 0)]) == {(k, 0, 0) for k in range(5)}
+    assert closure_tuples(wg, [(5, 0, -5)]) == {wg.identity_vec}
 
 
 def unitary_window(p, lo, hi):
@@ -177,7 +187,7 @@ def test_closure_of_a_central_window_matches_bfs():
     wg = unitary_window(3, 0, 7)
     assert wg._central
     seeds = [wg.gen_vec(i) for i in wg.indices()]
-    whole = closure(wg, seeds)
+    whole = closure_tuples(wg, seeds)
     assert len(whole) == wg.order == 6561
     assert whole == bfs_closure(wg, seeds)
 
@@ -233,8 +243,9 @@ def non_central_windows() -> tuple:
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(data=st.data())
 def test_right_mul_matches_products(data):
-    # the map is applied to normal forms (closure reduces its seeds, so every
-    # element it forms is one); r need not be one
+    # the map is applied to packed normal forms (closure reduces its seeds,
+    # so every element it forms is one) and gives packed ones; r need not be
+    # a normal form
     kind = data.draw(st.sampled_from(("central", "non-central", "reading")))
     if kind == "non-central":
         wg = data.draw(st.sampled_from(non_central_windows()))
@@ -248,10 +259,58 @@ def test_right_mul_matches_products(data):
     raw = st.tuples(*[st.integers(-2 * wg.p, 2 * wg.p)] * wg.width)
     hs = [wg.identity_vec] + data.draw(st.lists(normal, min_size=1, max_size=4))
     rs = [wg.identity_vec] + data.draw(st.lists(normal | raw, min_size=1, max_size=3))
+    pack = wg.pack
     for r in rs:
         times_r = wg.right_mul(r)
         for h in hs:
             expected = wg.mul_vec(h, r)
-            assert times_r(h) == expected
+            assert times_r(pack(h)) == pack(expected)
             if kind == "reading":
-                assert generic.right_mul(r)(h) == generic.mul_vec(h, r) == expected
+                assert generic.mul_vec(h, r) == expected
+                assert generic.right_mul(r)(pack(h)) == pack(expected)
+
+
+@pytest.mark.parametrize("tag, p, hi", [
+    ("standard", 2, 7),
+    ("unitary", 3, 5),
+    ("unitary", 5, 4),
+    (None, 2, None),
+    (None, 3, None),
+    # the one packing by tuples: 257^2 = 66049 elements
+    ("standard", 257, 1),
+])
+def test_packed_closure_matches_bfs(tag, p, hi):
+    # generators in index order take only concatenations, in reverse order
+    # they take right_mul cosets; the largest class-3 search table (tag None)
+    # stands for the generic fold
+    if tag is None:
+        wg = max((w for w in non_central_windows() if w.p == p), key=lambda w: w.order)
+    else:
+        wg = derive_window(make_example(tag, p), 0, hi)
+    packing = bytes if p <= 256 else tuple
+    seeds = [wg.gen_vec(i) for i in wg.indices()]
+    expected = bfs_closure(wg, seeds)
+    assert len(expected) == wg.order
+    for order in (seeds, seeds[::-1]):
+        packed = closure(wg, order)
+        assert {type(v) for v in packed} == {packing}
+        assert set(map(tuple, packed)) == expected
+
+
+@pytest.mark.parametrize("p, indices", [(5, (0, 2)), (257, (1, 2))])
+def test_subgroup_reads_its_packed_set(p, indices):
+    # at p = 5 the whole window, of class 2; at p = 257, where elements are
+    # packed as tuples, the abelian <x_1, x_2> of 257^2 elements
+    wg = derive_window(make_example("unitary", p), 0, 2)
+    gens = [wg.gen_vec(i) for i in indices]
+    sub = generate(wg, gens)
+    assert sub.order == (p**3 if indices == (0, 2) else p**2)
+    assert sub.sorted_elements() == sorted(sub.elements) == sorted(map(tuple, sub.packed))
+    assert all(v in sub and list(v) in sub for v in sub.elements)
+    assert sub == generate(wg, gens[::-1])
+    # an entry outside 0..p-1 is not a member, whether or not a byte holds it
+    for vec in [(-1, 0, 0), (0, p, 0), (0, 0, p + 1), (0, 300, 0), (0, 0, -p)]:
+        assert vec not in sub
+    line = generate(wg, [wg.gen_vec(1)])
+    assert line.packed < sub.packed and line.elements < sub.elements
+    assert (0, 1, 0) in line and (1, 0, 0) not in line

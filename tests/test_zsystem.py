@@ -121,7 +121,7 @@ def test_noncentral_consistent_table_group_laws():
     # generic engine with group-law checks over its full element set
     wg = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (0, 4): {2: 1}, (2, 4): {3: 1}})
     assert not wg._central
-    elements = sorted(closure(wg, [wg.gen_vec(i) for i in wg.indices()]))
+    elements = sorted(map(tuple, closure(wg, [wg.gen_vec(i) for i in wg.indices()])))
     assert len(elements) == 243
     rng = random.Random(1234)
     for _ in range(300):
@@ -235,6 +235,54 @@ def test_inconsistent_table_fails_zs2():
     rep = verify_zs_axioms(wg)
     assert not rep["checks"]["ZS2/ZS6"]["pass"]
     assert overlap_violation(wg) is not None
+    # the presentation may collapse, so the order of x_i is left undecided
+    assert rep["checks"]["ZS4"] == {"pass": False, "skipped": "ZS2/ZS6 fails"}
+
+
+def test_exhaustive_count_fails_only_through_the_collector(monkeypatch):
+    # with the generators in index order the closure forms only x_k^m x_i,
+    # i <= k: for i < k it lies in H x_k^m (H every vector below k), for
+    # i = k it is the next representative, so the count is p^width by
+    # construction, and ZS4 follows from it with no power formed
+    wg = derive_window(make_example("unitary", 3), 0, 4)
+    assert wg.overlap_witness is None  # decided before the patches
+    mul, formed = WindowGroup.mul_vec, []
+
+    def recording(self, a, b):
+        formed.append((tuple(a), tuple(b), mul(self, a, b)))
+        return formed[-1][2]
+
+    def refuse(self, a, k):
+        raise AssertionError("ZS4 formed a power")
+
+    monkeypatch.setattr(WindowGroup, "mul_vec", recording)
+    monkeypatch.setattr(WindowGroup, "pow_vec", refuse)
+    rep = verify_zs_axioms(wg)
+    assert rep["pass"] and rep["checks"]["ZS4"] == {"pass": True}
+    assert rep["checks"]["ZS2/ZS6"]["order"] == 243
+    assert len(formed) == (wg.p - 1) * wg.width * (wg.width + 1) // 2
+    for a, b, ab in formed:
+        (k,) = [c for c, e in enumerate(a) if e]
+        (i,) = [c for c, e in enumerate(b) if e]
+        assert i <= k and b[i] == 1
+        expected_k = (a[k] + (i == k)) % wg.p
+        assert ab[k] == expected_k and not any(ab[k + 1 :])
+        assert i < k or not any(ab[:k])
+
+    # a collector that leaves x_2 x_2 in the coset of x_2 ends x_2's
+    # representatives early: the count comes out wrong, and ZS4 is skipped
+    x2 = wg.gen_vec(2)
+
+    def faulty(self, a, b):
+        return tuple(a) if (tuple(a), tuple(b)) == (x2, x2) else mul(self, a, b)
+
+    monkeypatch.setattr(WindowGroup, "mul_vec", faulty)
+    rep = verify_zs_axioms(wg)
+    assert rep["checks"]["ZS2/ZS6"] == {
+        "expected": 243, "pass": False, "method": "exhaustive", "order": 162
+    }
+    assert rep["checks"]["ZS4"] == {"pass": False, "skipped": "ZS2/ZS6 fails"}
+    assert not rep["pass"]
 
 
 def test_generic_exhaustive_closure_on_noncentral_table():
@@ -280,7 +328,7 @@ def test_collection_matches_matrix_oracle(tag, p, lo, hi):
 
 def test_cancellation_lemmas_small_window():
     wg = derive_window(make_example("unitary", 3), 0, 3)
-    elements = sorted(closure(wg, [wg.gen_vec(i) for i in wg.indices()]))
+    elements = sorted(map(tuple, closure(wg, [wg.gen_vec(i) for i in wg.indices()])))
     nonid = [v for v in elements if v != wg.identity_vec]
     p = wg.p
     # start index of a generator product
