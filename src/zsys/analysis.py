@@ -5,16 +5,13 @@ over shift-invariant commutation tables.
 
 Subgroups are materialized element sets (windows at desk scale are small),
 enumerated by cosets in `zsystem.closure` and kept in its packed form
-(`WindowGroup.pack`).  `closure` refuses an inconsistent table, and so does
-every function here that forms a subgroup; the search stores its overlap
-outcome on each window it builds.  Series terms are built
-from generators: X' is the normal closure of the table words
-(on a consistent table [x_j, x_i] = w(i, j)), and gamma_(k+1) the normal
-closure of the commutators of the generators of gamma_k with the window
-generators; the tests check both against series built from the elements.
-A normal closure tests normality by those same commutators (v^g lies in H
-exactly when [v, g] does), forms each once and keeps them with its term,
-so the next term starts from them with no product formed again.
+(`WindowGroup.pack`).  One rule, `_commutator_rounds`, gives the class,
+the series and normal closures from commutators with the window
+generators: the class forms no subgroup, and each series term or normal
+closure is one closure of the rounds; the tests check each against
+subgroups built from the elements.  Every function here that reads the
+table as a group refuses an inconsistent one with `closure`'s error; the
+search stores its overlap outcome on each window it builds.
 
 The search and its extension certificates decide consistency with the
 complete overlap test `zsystem.overlap_violation` only (the extension runs
@@ -64,11 +61,7 @@ class Subgroup:
     It keeps, as `packed`, the set of packed elements (`WindowGroup.pack`)
     that `closure` returns; `elements` is the same set as exponent tuples,
     built on first use.  Membership, subset (`packed <`), equality and
-    `sorted_elements` read the packed set.  A subgroup built by
-    `normal_closure` also keeps, as `commutators`, the nontrivial
-    commutators [v, g] of its generators v with the window generators g."""
-
-    commutators = None
+    `sorted_elements` read the packed set."""
 
     def __init__(self, window: WindowGroup, generators, packed):
         self.window = window
@@ -113,66 +106,76 @@ def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     return Subgroup(wg, gens, closure(wg, gens, cap))
 
 
+def _table_words(wg: WindowGroup) -> list:
+    """The table words as vectors: on a consistent table [x_j, x_i] = w(i, j),
+    so they generate X' as a normal subgroup."""
+    indices = wg.indices()
+    return [tuple(word.get(k, 0) for k in indices) for word in wg.comm.values()]
+
+
+def _commutator_rounds(wg: WindowGroup, seeds) -> list:
+    """The rounds S_1, S_2, ... of the seeds, each a sorted list: S_1 holds
+    the nontrivial seeds reduced mod p, S_(k+1) the nontrivial [s, x] for s
+    in S_k and x a window generator; the first empty round ends the list.
+
+    If N = <S>^G and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G, so
+    the rounds from S_k on generate the k-th term of N, [N, G], [N, G, G],
+    ... as a normal subgroup, trivial exactly when S_k is empty.  And their
+    union T generates a normal subgroup: t^x = t [t, x], with [t, x] in T
+    or trivial, so conjugation by x maps the finite <T> into, hence onto,
+    itself.  The terms descend strictly in a group of order p^width, so
+    there are at most width rounds; past them RuntimeError (an internal
+    error).  Refuses an inconsistent table with `closure`'s ValueError, and
+    raises CapExceeded on a round of more than `zsystem.DEFAULT_CAP`."""
+    witness = wg.overlap_witness
+    if witness is not None:
+        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+    p, identity, comm = wg.p, wg.identity_vec, wg.comm_vec
+    window_gens = [wg.gen_vec(i) for i in wg.indices()]
+    rounds = []
+    current = {tuple(v % p for v in s) for s in seeds} - {identity}
+    while current:
+        if len(current) > zsystem.DEFAULT_CAP:
+            raise CapExceeded(
+                f"commutator round of {len(current)} elements is past the cap {zsystem.DEFAULT_CAP}"
+            )
+        if len(rounds) == wg.width:
+            raise RuntimeError("internal error: commutator rounds do not end")
+        rounds.append(sorted(current))
+        current = {w for s in rounds[-1] for x in window_gens if (w := comm(s, x)) != identity}
+    return rounds
+
+
 def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
     """Smallest subgroup containing the seeds and closed under conjugation by
-    the window generators (hence by the whole group).
-
-    Normality is tested by commutators: for v in H and a window generator g,
-    v^g = v [v, g] lies in H exactly when [v, g] does, and [v, g] joins the
-    generators when it does not, which spans the same subgroup as v^g.  Each
-    generator's commutators are formed once, in the round that adds it, and
-    the term keeps them all as `commutators`."""
-    seeds = [tuple(v) for v in gen_vecs]
-    gens = {v for v in seeds if v != wg.identity_vec}
-    window_gens = [wg.gen_vec(i) for i in wg.indices()]
-    pack = wg.pack
-    comms, fresh = set(), gens
-    while True:
-        elements = closure(wg, sorted(gens), cap)
-        new = set()
-        for v in sorted(fresh):
-            for g in window_gens:
-                w = wg.comm_vec(v, g)
-                comms.add(w)
-                if pack(w) not in elements:
-                    new.add(w)
-        if not new:
-            term = Subgroup(wg, sorted(gens), elements)
-            term.commutators = frozenset(comms - {wg.identity_vec})
-            return term
-        fresh = new
-        gens |= new
+    the window generators (hence by the whole group): the subgroup generated
+    by every round of `_commutator_rounds`, the seeds and their iterated
+    commutators with the window generators, which is normal with no test."""
+    return generate(wg, itertools.chain(*_commutator_rounds(wg, gen_vecs)), cap)
 
 
 def derived_subgroup(wg: WindowGroup, cap=None) -> Subgroup:
-    """X' = [X, X]: the normal closure of the commutators of the window
-    generators, which on a consistent table are the table words themselves,
-    [x_j, x_i] = w(i, j)."""
-    indices = wg.indices()
-    words = [tuple(word.get(k, 0) for k in indices) for word in wg.comm.values()]
-    return normal_closure(wg, words, cap)
+    """X' = [X, X]: the normal closure of the table words."""
+    return normal_closure(wg, _table_words(wg), cap)
 
 
 def lower_central_series(wg: WindowGroup, cap=None) -> list:
     """[X, X'=gamma_2, gamma_3, ...] down to the trivial subgroup.  The first
-    term stands for the whole group and is not materialized.  Each term
-    gamma_(k+1) = [gamma_k, X] is the normal closure of the commutators of
-    the generators of gamma_k with the window generators: if N = <S> is
-    normal and G = <X>, then [N, G] = <[s, x] : s in S, x in X>^G.  Those
-    commutators are the ones `normal_closure` formed for gamma_k, so none is
-    formed again."""
-    series = [None, derived_subgroup(wg, cap)]  # None for the whole group
-    while not series[-1].is_trivial():
-        # unreachable on a group, and closure refuses any other table
-        if len(series) > wg.width + 2:
-            raise RuntimeError("internal error: lower central series does not descend")
-        series.append(normal_closure(wg, sorted(series[-1].commutators), cap))
-    return series
+    term stands for the whole group and is not materialized.  With S_1, S_2,
+    ... the rounds of the table words (`_commutator_rounds`), gamma_(k+1) is
+    generated by the rounds from S_k on; the rounds are formed once, and each
+    term is one closure."""
+    rounds = _commutator_rounds(wg, _table_words(wg))
+    terms = [generate(wg, itertools.chain(*rounds[k:]), cap) for k in range(len(rounds) + 1)]
+    return [None] + terms  # None for the whole group
 
 
-def nilpotency_class(wg: WindowGroup, cap=None) -> int:
-    """Length of the lower central series to triviality (1 for abelian)."""
-    return len(lower_central_series(wg, cap)) - 1
+def nilpotency_class(wg: WindowGroup) -> int:
+    """Length of the lower central series to triviality (1 for abelian): 1 +
+    the number of rounds of the table words (`_commutator_rounds`), since
+    gamma_(k+1) is trivial exactly when the k-th round is empty.  Forms no
+    subgroup."""
+    return 1 + len(_commutator_rounds(wg, _table_words(wg)))
 
 
 # matrix commutators past which lower_cutoff refuses to scan a matrix
@@ -562,14 +565,7 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     return True
 
 
-def search_tables(
-    p: int,
-    lo: int,
-    hi: int,
-    support_bound: int,
-    cap=None,
-    extend_depth: int = 1,
-):
+def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: int = 1):
     """Enumerate all shift-invariant interior comm tables on the window, in a
     fixed lexicographic order; for each consistent one report its nilpotency
     class and whether some one-step widening stays consistent.
@@ -582,22 +578,8 @@ def search_tables(
     words, which are cached with the word choices; a window that passes
     keeps that outcome, no `overlap_witness`.  The call owns one memo
     for its candidates and their certificates; the memo is a cache, so no
-    result depends on it.
-
-    A table that passes and is central (`WindowGroup._central`: no word
-    letter is an endpoint of a pair with a word) has class 2, or 1 when it
-    is empty, and forms no subgroup, so `cap` never applies to it.  On
-    exponent vectors its product is a * b = a + b + beta(a, b), where
-    beta(a, b) is the sum of a_j * b_i * w(i, j) over the pairs i < j with a
-    word.  beta is bilinear, reads only endpoint coordinates and writes only
-    letter coordinates, and the two sets are disjoint.  So (a * b) * c and
-    a * (b * c) are both a + b + c + beta(a, b) + beta(a, c) + beta(b, c):
-    the product is associative, the group has order p^width, and the table
-    is consistent.  And a * b = (b * a) * (beta(a, b) - beta(b, a)), a
-    vector on the letters, which beta never reads, so every commutator is
-    central.  The overlap checks still run on such a table: skipping them
-    moves memo misses from the candidates to the certificates, whose memo
-    the candidates then fill less, and saves no time.
+    result depends on it.  The class is `nilpotency_class`, which forms no
+    subgroup, so the search forms none.
     """
     if extend_depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {extend_depth}")
@@ -625,7 +607,7 @@ def search_tables(
         if not _checks_pass(memo, p, plan, codes, words):
             continue
         wg.overlap_witness = None
-        cls = (2 if wg.comm else 1) if wg._central else nilpotency_class(wg, cap)
+        cls = nilpotency_class(wg)
         ext = extendable(wg, support_bound, extend_depth, memo)
         yield {"table": wg.to_json_dict(), "class": cls, "extendable": ext}
 
@@ -720,7 +702,11 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
     if memo is None:
         memo = OverlapMemo()
 
-    def rec(idx: int):
+    # the walker is handed itself rather than reading its own name from this
+    # scope: a function whose closure holds itself is a reference cycle,
+    # which would keep the table and the memo alive until the cyclic garbage
+    # collector runs
+    def rec(rec, idx: int):
         if not _checks_pass(memo, p, levels[idx], codes, words):
             return
         if idx == len(new_reps):
@@ -735,7 +721,7 @@ def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
             rep_words[rep] = word
             codes[s][d] = code
             words[s][d] = letters
-            yield from rec(idx + 1)
+            yield from rec(rec, idx + 1)
         del rep_words[rep]
 
-    yield from rec(0)
+    yield from rec(rec, 0)

@@ -4,10 +4,10 @@ Subcommands map one-to-one onto module operations; all output is JSON on
 stdout (JSON lines for `search`).  Exit codes: 0 when every requested check
 passes, 1 when a check fails (the JSON carries witnesses), 2 for usage,
 malformed-input, or resource errors.  `class`, `lemmas` and `shiftinv`
-compute subgroups, which needs a group: `zsystem.closure` refuses an
-inconsistent table, and they exit 2, where `axioms` reports the witness.
-They, `axioms` and `search` form closures, and only they take `--cap` or
-read ZSYS_CLOSURE_CAP.  Identical
+need a group: they refuse an inconsistent table and exit 2, where `axioms`
+reports the witness.  `axioms`, `lemmas` and `shiftinv` form closures, and
+only they take `--cap` or read ZSYS_CLOSURE_CAP; `class` and `search` find
+the class from commutators alone and form none.  Identical
 invocations produce byte-identical payloads; wall-clock timings, when
 present, live in a separate "timings" field.
 """
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     s.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"), required=True)
     s.add_argument("--support-bound", type=int, default=1)
     s.add_argument("--depth", type=int, default=1, help="extension depth to certify")
-    for name in ("axioms", "class", "lemmas", "shiftinv", "search"):
+    for name in ("axioms", "lemmas", "shiftinv"):
         sub.choices[name].add_argument("--cap", type=int, default=None, help="closure element cap")
 
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
 
         if args.command == "class":
             wg = _load_window(args)
-            _emit({"class": analysis.nilpotency_class(wg, cap)}, pretty)
+            _emit({"class": analysis.nilpotency_class(wg)}, pretty)
             return 0
 
         if args.command == "lemmas":
@@ -275,9 +275,7 @@ def main(argv=None) -> int:
             # fails part way leaves stdout empty rather than a truncated stream
             lines = [
                 json.dumps(item, separators=(",", ":")) + "\n"
-                for item in analysis.search_tables(
-                    args.p, lo, hi, args.support_bound, cap, args.depth
-                )
+                for item in analysis.search_tables(args.p, lo, hi, args.support_bound, args.depth)
             ]
             sys.stdout.write("".join(lines))
             return 0

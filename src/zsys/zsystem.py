@@ -377,7 +377,8 @@ class WindowGroup:
         return out
 
     def comm_vec(self, a: tuple, b: tuple) -> tuple:
-        """Normal form of [a, b] = a^-1 b^-1 a b, formed as (b a)^-1 (a b).
+        """Normal form of [a, b] = a^-1 b^-1 a b, formed as (b a)^-1 (a b),
+        or the identity, with no inverse, when a b = b a.
 
         On a central window a * b = a + b + beta(a, b) with beta(a, b) the sum
         of a_l * b_c * w(c, l) over the pairs c < l, bilinear and central, so
@@ -385,7 +386,10 @@ class WindowGroup:
         adds f * w(c, l) with f = (a_l * b_c - b_l * a_c) mod p, and no
         product is formed."""
         if not self._central:
-            return self.mul_vec(self.inv_vec(self.mul_vec(b, a)), self.mul_vec(a, b))
+            ab, ba = self.mul_vec(a, b), self.mul_vec(b, a)
+            if ab == ba:
+                return self.identity_vec
+            return self.mul_vec(self.inv_vec(ba), ab)
         p = self.p
         vec = [0] * self.width
         for (c, l), word in self._cross.items():

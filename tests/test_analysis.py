@@ -1,4 +1,5 @@
 
+import gc
 import itertools
 
 import pytest
@@ -389,6 +390,27 @@ def test_search_p2_window_0_3_abelian_first():
     assert results[0]["table"]["comm"] == {}
     assert results[0]["class"] == 1
     assert results[0]["extendable"]
+
+
+def test_search_and_extendable_leave_no_window_for_the_collector():
+    # the extension walker holds no reference to itself, so no window the
+    # search builds or widens waits for the cyclic garbage collector: with
+    # the collector off, a collection afterwards finds none of them
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(list(search_tables(2, 0, 5, 1))) == 115
+        assert len(list(search_tables(3, 0, 4, 1, extend_depth=2))) == 199
+        wg = WindowGroup(3, 0, 4, {(0, 4): {2: 1}})
+        assert [extendable(wg, 1, depth) for depth in (1, 2)] == [True, False]
+        gc.collect()
+        left = [obj for obj in gc.garbage if isinstance(obj, WindowGroup)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_search_tables_are_shift_invariant_and_interior():

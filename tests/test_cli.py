@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from test_collect_oracle import interior_tables
 
+from zsys import zsystem
 from zsys.cli import main
 from zsys.matgroup import LaurentMatrix, commutator, make_example
 from zsys.zsystem import overlap_violation
@@ -261,8 +262,7 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     bad = [search + ["--depth", "0"], search + ["--depth", "-1"]]
     bad += [["lemmas", *source, "--trials", t] for t in ("0", "-3")]
     for cap in ("0", "-1"):
-        bad.append(search + ["--cap", cap])
-        bad += [[cmd, *source, "--cap", cap] for cmd in ("axioms", "class", "lemmas")]
+        bad += [[cmd, *source, "--cap", cap] for cmd in ("axioms", "lemmas")]
         bad.append(["shiftinv", *source, "--a", "0:1", "--b", "1:1", "--cap", cap])
     # a table file whose fields have the wrong types
     malformed = (
@@ -280,36 +280,44 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert err.startswith("error:"), argv
     # a cap from the environment that is not an integer names the variable
     monkeypatch.setenv("ZSYS_CLOSURE_CAP", "many")
-    code, out, err = run_cli(capsys, "class", *source)
+    code, out, err = run_cli(capsys, "lemmas", *source)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "ZSYS_CLOSURE_CAP" in err
 
 
 def test_cap_only_where_a_closure_is_formed(capsys, monkeypatch):
-    # derive, nf, comm and cutoff form no closure: --cap is not an option of
-    # theirs, and a malformed ZSYS_CLOSURE_CAP does not stop them
+    # derive, nf, comm, cutoff, class and search form no closure: --cap is
+    # not an option of theirs, and a malformed ZSYS_CLOSURE_CAP does not stop
+    # them
     source = ["--example", "unitary", "--p", "3", "--window", "0", "2"]
+    search = ["search", "--p", "2", "--window", "0", "3"]
     for argv in (
         ["derive", *source],
         ["nf", *source, "--word", "0:1"],
         ["comm", *source, "--left", "0:1", "--right", "2:1"],
         ["cutoff", "--example", "unitary", "--p", "3", "--bound", "2"],
+        ["class", *source],
+        search,
     ):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--cap", "0"])
-        assert exc.value.code == 2, argv
-        assert "unrecognized arguments: --cap 0" in capsys.readouterr().err
+        for cap in ("0", "-1", "5"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--cap", cap])
+            assert exc.value.code == 2, argv
+            assert f"unrecognized arguments: --cap {cap}" in capsys.readouterr().err
     monkeypatch.setenv("ZSYS_CLOSURE_CAP", "abc")
     for argv in (
         ["rgd", "--example", "standard", "--p", "3", "--K", "1"],
         ["derive", *source],
         ["cutoff", *source, "--bound", "2"],
+        ["class", *source],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert json.loads(out)
+    code, out, err = run_cli(capsys, *search)
+    assert (code, err) == (0, "") and len(out.splitlines()) == 7
     # a command that forms a closure still reads the variable
-    code, out, err = run_cli(capsys, "class", *source)
+    code, out, err = run_cli(capsys, "lemmas", *source)
     assert (code, out) == (2, "") and "ZSYS_CLOSURE_CAP" in err
 
 
@@ -434,14 +442,14 @@ def test_class_table_never_raises(tmp_path, capsys, document):
 def test_subgroup_commands_never_raise(tmp_path, capsys, wg, data):
     # on strictly interior tables, mostly inconsistent, class, lemmas and
     # shiftinv give an exit code and never a traceback; the cap keeps the
-    # consistent ones small
+    # closures of lemmas and shiftinv small
     table = tmp_path / "table.json"
     table.write_text(json.dumps(wg.to_json_dict()))
     letter = st.builds("{}:{}".format, st.integers(wg.lo, wg.hi), st.integers(0, wg.p))
     word = st.lists(letter, min_size=1, max_size=3).map(" ".join)
     source = ["--table", str(table), "--cap", "3000"]
     for argv in (
-        ["class", *source],
+        ["class", "--table", str(table)],
         ["lemmas", *source, "--trials", "5"],
         ["shiftinv", *source, "--a", data.draw(word), "--b", data.draw(word)],
     ):
@@ -581,22 +589,21 @@ def test_unknown_subcommand_exit_2(capsys):
 
 
 def test_cap_exceeded_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "2"
+    code, out, err = run_cli(
+        capsys, "lemmas", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "2"
     )
-    assert code == 2 and "resource" in err
-    # the search hits the cap after twelve tables and prints none of them
-    code, out, err = run_cli(capsys, "search", "--p", "3", "--window", "0", "4", "--cap", "3")
     assert (code, out) == (2, "")
     assert "resource" in err
 
 
-def test_cap_spares_central_search_tables(capsys):
-    # the search classes central tables by structure and forms no subgroup
-    # for them, and every table at p = 2 on [0, 3] is central
-    code, out, err = run_cli(capsys, "search", "--p", "2", "--window", "0", "3", "--cap", "1")
-    assert (code, err) == (0, "")
-    assert len(out.splitlines()) == 7
+def test_commutator_round_past_the_default_cap_exit_2(capsys, monkeypatch):
+    # class forms no closure, so its budget is the size of a commutator
+    # round, bounded by the default cap: unitary p=3 [0, 5] has a round of
+    # two elements
+    monkeypatch.setattr(zsystem, "DEFAULT_CAP", 1)
+    code, out, err = run_cli(capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("resource error:")
 
 
 def test_rgd_past_its_budget_exits_2_before_building(capsys):
@@ -615,14 +622,14 @@ def test_unitary_p2_rejected(capsys):
 
 def test_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("ZSYS_CLOSURE_CAP", "2")
-    code, _, err = run_cli(capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5")
+    code, _, err = run_cli(capsys, "lemmas", "--example", "unitary", "--p", "3", "--window", "0", "5")
     assert code == 2 and "resource" in err
     # explicit flag overrides the environment
     monkeypatch.setenv("ZSYS_CLOSURE_CAP", "2")
     code, out, _ = run_cli(
-        capsys, "class", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "100000"
+        capsys, "lemmas", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "100000"
     )
-    assert code == 0 and json.loads(out) == {"class": 2}
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_search_depth_flag_monotone(capsys):

@@ -135,7 +135,7 @@ def test_subgroup_entry_points_refuse_exactly_the_inconsistent_tables(wg, data):
         lambda: normal_closure(wg, seeds, cap),
         lambda: derived_subgroup(wg, cap),
         lambda: lower_central_series(wg, cap),
-        lambda: nilpotency_class(wg, cap),
+        lambda: nilpotency_class(wg),
         lambda: lemma_checks(wg, cap, trials=3),
         lambda: shift_invariant_closure(wg, seeds[0], seeds[-1], cap),
     ]

@@ -1,31 +1,46 @@
 """Differential tests of the series in `analysis` against the element-based
 series they replaced.
 
-`analysis` forms X' as the normal closure of the table words, and each term
-gamma_(k+1) of the lower central series as the normal closure of the
-commutators of the generators of gamma_k with the window generators.  The
-oracles here form the same subgroups from commutators of elements:
-X' from every pair of window generators, gamma_(k+1) from every element of
-gamma_k.  `commutator_subgroup` and `derived_series` are the brute-force
+`analysis` reads the series off the rounds of the table words
+(`_commutator_rounds`): S_1 the nontrivial table words, S_(k+1) the
+nontrivial commutators of S_k with the window generators.  The class is 1 +
+the number of rounds, with no subgroup formed; gamma_(k+1) is the subgroup
+generated by the rounds from S_k on, and a normal closure the subgroup
+generated by every round of its seeds.  The oracles here form the same
+subgroups from commutators of elements: X' from every pair of window
+generators, gamma_(k+1) from every element of gamma_k, and a normal closure
+from every conjugate of its seeds over the enumerated group.
+`commutator_subgroup` and `derived_series` are the brute-force
 definitions, over whole element sets.  `oracle_lemma_checks` is the lemma
 report built without sharing the series: it forms [Y, X], [Y, X, X] and the
 image of each series term by normal closures of their own.  All of them
 presume a consistent table, so the tables drawn here are: the search tables at p = 2 and p = 3
 (class 1 to 3, central and not), and random central tables, which all pass the
-overlap test.
+overlap test.  The class and the search are also run with every closure made
+to raise, and the commutator of the generic fold, which the rounds form, is
+checked on the class-3 search tables and on random strictly interior tables,
+consistent or not.
 """
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_closure_oracle import non_central_windows, outcome, searched_windows, unitary_window
-from test_collect_oracle import central_tables
+from test_closure_oracle import (
+    bfs_closure,
+    non_central_windows,
+    outcome,
+    searched_windows,
+    unitary_window,
+)
+from test_collect_oracle import central_tables, interior_tables, letters_of, oracle_collect
 
-from zsys import analysis
+from zsys import analysis, zsystem
 from zsys.analysis import (
     Subgroup,
     derived_subgroup,
@@ -227,9 +242,8 @@ def test_series_match_oracle_on_search_tables():
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_series_match_oracle_on_central_tables(data):
-    # the search classes a central table by structure, with no series: every
-    # central table passes the overlap test, and its class is 2, or 1 when
-    # it is empty
+    # every central table passes the overlap test, and its class is 2, or 1
+    # when it is empty
     wg = data.draw(central_tables())
     assert overlap_violation(wg) is None
     assert nilpotency_class(wg) == (2 if wg.comm else 1)
@@ -238,33 +252,154 @@ def test_series_match_oracle_on_central_tables(data):
     # the same subgroups are formed, so a cap is exceeded by both or neither,
     # with the same message
     cap = data.draw(st.integers(1, wg.order))
-    assert outcome(nilpotency_class, wg, cap) == outcome(oracle_class, wg, cap)
     assert outcome(lambda: derived_subgroup(wg, cap).elements) == outcome(
         lambda: oracle_derived_subgroup(wg, cap).elements
     )
 
 
-def test_search_forms_the_series_of_non_central_tables_only(monkeypatch):
-    formed = []
+def refuse_closures(mp):
+    """Make every closure raise, in `zsystem` and where `analysis` reads it."""
 
-    def counted(wg, cap=None):
-        formed.append(wg.to_json_dict())
-        return nilpotency_class(wg, cap)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure was formed")
 
+    mp.setattr(zsystem, "closure", refuse)
+    mp.setattr(analysis, "closure", refuse)
+
+
+# sha256 of the compact JSON lines that `search` prints at p=3 on [0, 4] and
+# at p=2 on [0, 5], support bound 1
+SEARCH_DIGESTS = {
+    (3, 4): "205070d001114a75cb6e00e7f1e70904510c6ebcc68bb9e30c2873929dd96da8",
+    (2, 5): "5c33707b97f28921e4ccade936e83790741147b1ac79ad3506596b9c95fa78c0",
+}
+
+
+def test_search_classes_every_table_and_forms_no_closure(monkeypatch):
+    classed, items = [], []
+
+    def counted(wg):
+        classed.append(wg.to_json_dict())
+        return nilpotency_class(wg)
+
+    refuse_closures(monkeypatch)
     monkeypatch.setattr(analysis, "nilpotency_class", counted)
-    items = [item for p, hi in ((3, 4), (2, 5)) for item in analysis.search_tables(p, 0, hi, 1)]
+    for (p, hi), digest in SEARCH_DIGESTS.items():
+        stream = list(analysis.search_tables(p, 0, hi, 1))
+        text = "".join(json.dumps(item, separators=(",", ":")) + "\n" for item in stream)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (p, hi)
+        items += stream
     monkeypatch.undo()
+    assert classed == [item["table"] for item in items]
+    assert len(classed) == 314
     windows = [WindowGroup.from_json_dict(item["table"]) for item in items]
-    assert formed == [wg.to_json_dict() for wg in windows if not wg._central]
-    assert len(formed) == 78
-    assert [item["class"] for item in items] == [nilpotency_class(wg) for wg in windows]
+    assert [item["class"] for item in items] == [oracle_class(wg) for wg in windows]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_class_forms_no_closure_and_matches_oracle(data):
+    if data.draw(st.booleans()):
+        wg = data.draw(st.sampled_from(searched_windows()))
+    else:
+        wg = data.draw(central_tables())
+        assume(wg.order <= 3**6)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_closures(mp)
+        got = nilpotency_class(wg)
+    assert got == oracle_class(wg), wg.comm
+
+
+def test_class_five_forms_no_closure():
+    wg = unitriangular_window(2, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_closures(mp)
+        got = nilpotency_class(wg)
+    assert got == oracle_class(wg) == 5
+
+
+def test_commutator_round_past_the_default_cap(monkeypatch):
+    # a round of unitary p=3 [0, 5] holds two elements
+    wg = unitary_window(3, 0, 5)
+    assert max(map(len, analysis._commutator_rounds(wg, analysis._table_words(wg)))) == 2
+    monkeypatch.setattr(zsystem, "DEFAULT_CAP", 1)
+    with pytest.raises(CapExceeded, match="past the cap 1"):
+        nilpotency_class(wg)
+
+
+def conjugate_closure(wg, seeds) -> set:
+    """The subgroup generated by every conjugate h^-1 s h of the seeds over
+    the enumerated group, by breadth-first closures: a conjugate joins the
+    generators when it is not yet in their closure."""
+    group = bfs_closure(wg, [wg.gen_vec(i) for i in wg.indices()])
+    reduced = {tuple(e % wg.p for e in s) for s in seeds}
+    conjugates = {wg.mul_vec(wg.inv_vec(h), wg.mul_vec(s, h)) for h in group for s in reduced}
+    gens, elements = [], {wg.identity_vec}
+    for c in sorted(conjugates):
+        if c not in elements:
+            gens.append(c)
+            elements = bfs_closure(wg, gens)
+    return elements
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_normal_closure_matches_conjugate_oracle(data):
+    # seeds are table words, vectors of the window, and vectors with entries
+    # outside 0 .. p - 1
+    if data.draw(st.booleans()):
+        wg = data.draw(st.sampled_from(searched_windows()))
+    else:
+        wg = data.draw(central_tables())
+        assume(wg.order <= 3**5)
+    p = wg.p
+    seed = st.tuples(*[st.integers(-2 * p, 2 * p)] * wg.width) | st.tuples(
+        *[st.integers(0, p - 1)] * wg.width
+    )
+    words = analysis._table_words(wg)
+    if words:
+        seed |= st.sampled_from(words)
+    seeds = data.draw(st.lists(seed, max_size=3))
+    assert normal_closure(wg, seeds).elements == conjugate_closure(wg, seeds), (wg.comm, seeds)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_generic_commutator_matches_written_out_quotient(data):
+    # on a window that takes the generic fold, [a, b] is (b a)^-1 (a b) when
+    # a b != b a, and the identity, with no inverse formed, when a b = b a.
+    # On a group that is the quotient too, and both agree with collection of
+    # a^-1 b^-1 a b; on an inconsistent table (b a)^-1 (a b) may differ from
+    # the identity even when a b = b a.  Pairs that commute are drawn on
+    # purpose: a with itself, with the identity, with a power and the inverse
+    if data.draw(st.booleans()):
+        wg = data.draw(st.sampled_from(non_central_windows()))
+    else:
+        wg = data.draw(interior_tables())
+        assume(not wg._central)
+    p, consistent = wg.p, wg.overlap_witness is None
+    vector = st.tuples(*[st.integers(0, p - 1)] * wg.width)
+    a = data.draw(vector)
+    power = wg.collect(letters_of(wg, a) * data.draw(st.integers(0, p)))
+    for b in (data.draw(vector), a, wg.identity_vec, power, wg.inv_vec(a)):
+        for x, y in ((a, b), (b, a)):
+            xy, yx = wg.mul_vec(x, y), wg.mul_vec(y, x)
+            quotient = wg.mul_vec(wg.inv_vec(yx), xy)
+            assert wg.comm_vec(x, y) == (wg.identity_vec if xy == yx else quotient), (wg.comm, x, y)
+            if consistent:
+                word = [(i, -e) for i, e in reversed(letters_of(wg, x))]
+                word += [(i, -e) for i, e in reversed(letters_of(wg, y))]
+                assert quotient == oracle_collect(wg, word + letters_of(wg, x) + letters_of(wg, y))
 
 
 def check_commutators_formed_once(wg):
-    """The series forms [v, g] once for each generator v of each term and
-    each window generator g, and inverts nothing outside those commutators:
-    it forms no conjugate.  A commutator inverts once on a window that is
-    not central and never on a central one, where it has a closed form."""
+    """The series forms [s, x] once for each element s of each round and
+    each window generator x, and inverts nothing outside those commutators:
+    it forms no conjugate.  A commutator inverts once for a pair that does
+    not commute on a window that is not central, and never otherwise: a
+    commuting pair gives the identity at once, and a central window has a
+    closed form."""
+    rounds = analysis._commutator_rounds(wg, analysis._table_words(wg))
     calls, inverses = Counter(), []
     comm_vec, inv_vec = WindowGroup.comm_vec, WindowGroup.inv_vec
 
@@ -281,9 +416,10 @@ def check_commutators_formed_once(wg):
         mp.setattr(WindowGroup, "inv_vec", counted_inv)
         series = lower_central_series(wg)
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
-    expected = Counter((v, g) for term in series[1:] for v in term.generators for g in window_gens)
+    expected = Counter((s, x) for r in rounds for s in r for x in window_gens)
     assert calls == expected, wg.comm
-    assert len(inverses) == (0 if wg._central else sum(calls.values())), wg.comm
+    noncommuting = sum(n for (a, b), n in calls.items() if wg.mul_vec(a, b) != wg.mul_vec(b, a))
+    assert len(inverses) == (0 if wg._central else noncommuting), wg.comm
     assert [t.elements for t in series[1:]] == [
         t.elements for t in oracle_lower_central_series(wg)[1:]
     ], wg.comm
@@ -303,9 +439,15 @@ def test_series_commutators_formed_once_on_central_tables(data):
 
 
 def test_cap_outcome_on_search_tables():
+    # the series and its oracle form the same largest subgroup, X', so a
+    # cap is exceeded by both or neither, with the same message
+    def elements(series_of, wg, cap):
+        return [term.elements for term in series_of(wg, cap)[1:]]
+
     for wg in searched_windows()[::7]:
         for cap in (1, 2, 4, 9, 27):
-            assert outcome(nilpotency_class, wg, cap) == outcome(oracle_class, wg, cap), wg.comm
+            got = outcome(elements, lower_central_series, wg, cap)
+            assert got == outcome(elements, oracle_lower_central_series, wg, cap), wg.comm
 
 
 def test_lemma_checks_match_oracle_on_search_tables():
