@@ -13,26 +13,29 @@ subgroups built from the elements.  Every function here that reads the
 table as a group refuses an inconsistent one with `closure`'s error; the
 search stores its overlap outcome on each window it builds.
 
-The search and its extension certificates decide consistency with the
-complete overlap test `zsystem.overlap_violation` only (the extension runs
-the boundary overlaps level by level while it backtracks), and spread every
-representative word over its translation orbit with `_propagate`.  Every
-table they build is shift-invariant, so a check with lowest index i reads
-the table only through orbit words, each in a slot (parity relative to i,
-distance), and its outcome is fixed by p, its shape and the words that its
-collection looks up.  One `OverlapMemo` keeps the outcomes as a decision
-tree per (p, check shape) on those words.  At a miss the check runs once on
-the sub-window [0, n] read from the orbit words
-(`zsystem.WindowGroup.reading`), and the slots it reads become a path of
-the tree.  A table is first decided from the leaves the trees already hold,
-so a check that fails there answers before any other check runs; only then
-do the undecided checks run, in plan order.  The memo serves a whole
-`search_tables` call, its candidates and every certificate under it, so a
-check that recurs in translate, or on tables that differ only in words it
-does not read, is collected once; a direct `extendable` call owns a memo
-of its own.  Backtracking nodes are
-decided from their orbit words alone, and only the widenings they yield
-are built into windows.  The exhaustive closure stays in
+Between a candidate and its certificate a shift-invariant table is only its
+orbit rows: codes[s][d] and words[s][d] hold the word of the pairs at
+distance d whose start has parity s relative to the window's lo.  One
+backtracking routine, `_walk`, sets the rows' slots level by level.  The
+search walks its window's orbit representatives with no check on the way
+and builds each leaf into its window (`_propagate`) to decide it; a
+certificate widens the table's rows and walks the new representatives with
+the overlaps that reach the new boundary, so it builds no window.  Both
+decide consistency with the complete overlap test
+`zsystem.overlap_violation` only.  A check with lowest index i reads a
+shift-invariant table only through orbit words, each in a slot (parity
+relative to i, distance), and its outcome is fixed by p, its shape and
+the words that its collection looks up.  One `OverlapMemo` keeps the
+outcomes as a decision tree per (p, check shape) on those words.  At a
+miss the check runs once on the sub-window [0, n] read from the orbit
+words (`zsystem.WindowGroup.reading`), and the slots it reads become a
+path of the tree.  A table is first decided from the leaves the trees
+already hold, so a check that fails there answers before any other check
+runs; only then do the undecided checks run, in plan order.  The memo
+serves a whole `search_tables` call, its candidates and every certificate
+under it, so a check that recurs in translate, or on tables that differ
+only in words it does not read, is collected once; a direct `extendable`
+call owns a memo of its own.  The exhaustive closure stays in
 `zsystem.verify_zs_axioms`, the `axioms` report.
 """
 
@@ -42,7 +45,6 @@ import functools
 import itertools
 import random
 from collections import namedtuple
-from types import MappingProxyType
 
 from . import zsystem
 from .matgroup import commutator as mat_commutator
@@ -356,37 +358,29 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
 # -- search over shift-invariant tables -------------------------------------
 
 
+def _code(letters) -> str:
+    """The string that the overlap memo branches on for a word of ascending
+    (offset, exponent) letters: their number and then each offset and
+    exponent (in decimal, closed by a comma, so that any modulus fits)."""
+    return chr(len(letters)) + "".join(f"{chr(k)}{e}," for k, e in letters)
+
+
 @functools.lru_cache(maxsize=None)
-def _word_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
-    """All interior words for pair (i, j) with at most support_bound nonzero
-    entries, in lexicographic order of the exponent tuple over i+1 .. j-1.
-    Built once per argument tuple and shared by every caller, hence read-only
-    words."""
-    positions = range(i + 1, j)
+def _coded_choices(p: int, d: int, support_bound: int) -> tuple:
+    """(code, letters) for every interior word of a pair at distance d with
+    at most support_bound nonzero entries, in lexicographic order of the
+    exponent tuple over the offsets 1 .. d-1: the letters are the word's
+    ascending (offset from the pair's start, exponent) and the code is
+    theirs (`_code`).  Built once per argument tuple and shared by every
+    caller."""
     words = [
-        MappingProxyType(dict(zip(support, exps)))
-        for n in range(min(support_bound, len(positions)) + 1)
-        for support in itertools.combinations(positions, n)
+        tuple(zip(support, exps))
+        for n in range(min(support_bound, d - 1) + 1)
+        for support in itertools.combinations(range(1, d), n)
         for exps in itertools.product(range(1, p), repeat=n)
     ]
-    words.sort(key=lambda word: tuple(word.get(k, 0) for k in positions))
-    return tuple(words)
-
-
-def _coded(word, start: int) -> tuple:
-    """(code, letters) of the word of a pair that starts at `start`: its
-    letters ascending as (position minus start, exponent), and the string
-    that the overlap memo branches on, their number and then each position
-    and exponent (in decimal, closed by a comma, so that any modulus fits)."""
-    letters = tuple((k - start, word[k]) for k in sorted(word))
-    return chr(len(letters)) + "".join(f"{chr(k)}{e}," for k, e in letters), letters
-
-
-@functools.lru_cache(maxsize=None)
-def _coded_choices(p: int, i: int, j: int, support_bound: int) -> tuple:
-    """(word, code, letters) for every word of `_word_choices(p, i, j,
-    support_bound)`, in its order (see `_coded`)."""
-    return tuple((word, *_coded(word, i)) for word in _word_choices(p, i, j, support_bound))
+    words.sort(key=lambda letters: tuple(dict(letters).get(k, 0) for k in range(1, d)))
+    return tuple((_code(letters), letters) for letters in words)
 
 
 def _free_reps(lo: int, hi: int) -> list:
@@ -400,17 +394,30 @@ def _free_reps(lo: int, hi: int) -> list:
     return reps
 
 
-def _propagate(lo: int, hi: int, rep_words: dict) -> dict:
-    """Spread each anchored representative word over its whole translation
-    orbit within the window."""
+def _orbit_rows(wg: WindowGroup) -> tuple:
+    """(codes, words), the orbit rows of a shift-invariant table: codes[s][d]
+    and words[s][d] are the `_code` and the letters of the word of the pair
+    (lo + s, lo + s + d), for s in (0, 1) and each such pair at distance
+    d >= 2 in the window; the other entries are "" and None."""
+    codes = [[""] * wg.width for _ in range(2)]
+    words = [[None] * wg.width for _ in range(2)]
+    for i, j in _free_reps(wg.lo, wg.hi):
+        word = wg.comm.get((i, j), {})
+        letters = tuple((k - i, word[k]) for k in sorted(word))
+        codes[i - wg.lo][j - i], words[i - wg.lo][j - i] = _code(letters), letters
+    return codes, words
+
+
+def _propagate(lo: int, hi: int, slots, words) -> dict:
+    """The table on [lo, hi] of the orbit words of the given slots: the word
+    words[s][d] of each slot (s, d) on every pair (lo + s + 2t, lo + s + 2t
+    + d) inside the window."""
     table = {}
-    for (i0, j0), word in rep_words.items():
-        if not word:
-            continue
-        shift = 0
-        while j0 + shift <= hi:
-            table[(i0 + shift, j0 + shift)] = {pos + shift: e for pos, e in word.items()}
-            shift += 2
+    for s, d in slots:
+        letters = words[s][d]
+        if letters:
+            for i in range(lo + s, hi - d + 1, 2):
+                table[(i, i + d)] = {i + k: e for k, e in letters}
     return table
 
 
@@ -526,9 +533,9 @@ MEMO_LIMIT = 1 << 16
 
 def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     """Whether every planned check passes on the shift-invariant table with
-    these orbit codes and words: codes[s][d] and words[s][d] are the
-    `_coded` code and letters of the word of the pair (lo + s, lo + s + d)
-    of its window [lo, hi].  Every check is first decided, where it can be,
+    these orbit rows (`_orbit_rows`): codes[s][d] and words[s][d] are the
+    code and letters of the word of the pair (lo + s, lo + s + d) of its
+    window [lo, hi].  Every check is first decided, where it can be,
     by walking its tree on the codes, and the first failing leaf answers with
     no check run.  Only then are the checks left undecided run through
     `OverlapMemo.run`, in plan order, each tree walked again just before its
@@ -565,6 +572,26 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
     return True
 
 
+def _walk(memo: OverlapMemo, p: int, levels, slots, choice_lists, rows, idx: int = 0):
+    """The one backtracking routine: set the orbit slots slots[idx:] of the
+    rows (codes, words) to each of their (code, letters) choices in turn,
+    the last slot varying fastest, as `itertools.product` does, and yield at
+    every leaf, while the rows hold its words.  A node at level idx, which
+    has set the slots before idx, goes on only when `_checks_pass` passes
+    its planned checks levels[idx]; those read no slot set at idx or after."""
+    codes, words = rows
+    if not _checks_pass(memo, p, levels[idx], codes, words):
+        return
+    if idx == len(slots):
+        yield
+        return
+    s, d = slots[idx]
+    code_row, word_row = codes[s], words[s]
+    for code, letters in choice_lists[idx]:
+        code_row[d], word_row[d] = code, letters
+        yield from _walk(memo, p, levels, slots, choice_lists, rows, idx + 1)
+
+
 def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: int = 1):
     """Enumerate all shift-invariant interior comm tables on the window, in a
     fixed lexicographic order; for each consistent one report its nilpotency
@@ -572,12 +599,13 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
 
     Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
     argument is checked before the first table is yielded; an extend_depth
-    below 1 would certify nothing and is refused.  Each candidate is built
-    into its WindowGroup, and its consistency is decided through the overlap
-    memo (`_checks_pass`), from the codes and letters of its representative
-    words, which are cached with the word choices; a window that passes
-    keeps that outcome, no `overlap_witness`.  The call owns one memo
-    for its candidates and their certificates; the memo is a cache, so no
+    below 1 would certify nothing and is refused.  The candidates are the
+    leaves of `_walk` over the orbit representatives with no check at any
+    level, and each one is built into its WindowGroup from its orbit rows
+    (`_propagate`) before its consistency is decided through the overlap
+    memo (`_checks_pass` on every check of the window); a window that passes
+    keeps that outcome, no `overlap_witness`.  The call owns one memo for
+    its candidates and their certificates; the memo is a cache, so no
     result depends on it.  The class is `nilpotency_class`, which forms no
     subgroup, so the search forms none.
     """
@@ -589,21 +617,14 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
         raise ValueError(f"search window width is capped at 8, got {hi - lo + 1}")
     if support_bound < 0:
         raise ValueError("support bound must be nonnegative")
-    reps = _free_reps(lo, hi)
-    slots = [(i - lo, j - i) for i, j in reps]
-    choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in reps]
+    slots = [(i - lo, j - i) for i, j in _free_reps(lo, hi)]
+    choice_lists = [_coded_choices(p, d, support_bound) for _, d in slots]
     plan = _window_plan(lo, hi)
-    # every slot is set for each candidate, so the rows are reused
     codes = [[""] * (hi - lo + 1) for _ in range(2)]
     words = [[None] * (hi - lo + 1) for _ in range(2)]
     memo = OverlapMemo()
-    for assignment in itertools.product(*choice_lists):
-        rep_words = {}
-        for rep, (s, d), (word, code, letters) in zip(reps, slots, assignment):
-            rep_words[rep] = word
-            codes[s][d] = code
-            words[s][d] = letters
-        wg = WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words))
+    for _ in _walk(memo, p, ((),) * (len(slots) + 1), slots, choice_lists, (codes, words)):
+        wg = WindowGroup(p, lo, hi, _propagate(lo, hi, slots, words))
         if not _checks_pass(memo, p, plan, codes, words):
             continue
         wg.overlap_witness = None
@@ -614,37 +635,70 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
 
 def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -> bool:
     """Whether the table admits a chain of `depth` consistent shift-invariant
-    one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...; a depth below 1
-    would certify nothing and is refused, and so is a table that is not
-    shift-invariant (`_consistent_extensions`).  `memo` is an `OverlapMemo`
-    to share; without one the call owns its own."""
+    one-step widenings to [lo-1, hi+1], [lo-2, hi+2], ...
+
+    The table is refused with ValueError, in this order, when the depth is
+    below 1 (it would certify nothing), the support bound is negative, the
+    table is not shift-invariant (no shift-invariant widening restricts to
+    it), it is not strictly interior (the collector's error, which the
+    overlap test raises) or it is inconsistent (`closure`'s error: the walk
+    checks only the overlaps that reach a new boundary, so an inconsistent
+    table would pass).  Then its orbit rows are read once (`_orbit_rows`),
+    and the widenings are walked on rows alone (`_extends`): no window is
+    built.  `memo` is an `OverlapMemo` to share; without one the call owns
+    its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
+    if support_bound < 0:
+        raise ValueError("support bound must be nonnegative")
+    violation = shift_violation(wg, 2)
+    if violation is not None:
+        i, j = violation["pair"]
+        raise ValueError(
+            f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
+            f" differs from the word of ({i + 2}, {j + 2})"
+        )
+    witness = wg.overlap_witness
+    if witness is not None:
+        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
     if memo is None:
         memo = OverlapMemo()
-    for ext in _consistent_extensions(wg, support_bound, memo):
-        if depth == 1 or extendable(ext, support_bound, depth - 1, memo):
-            return True
-    return False
+    return _extends(memo, wg.p, wg.lo, wg.hi, _orbit_rows(wg), support_bound, depth)
+
+
+def _extends(memo: OverlapMemo, p: int, lo: int, hi: int, rows, support_bound: int, depth: int):
+    """Whether the consistent shift-invariant table with the orbit rows
+    (codes, words) on [lo, hi] has a chain of `depth` consistent widenings.
+    Codes and letters are relative to the start of a pair, so slot (s, d) on
+    [lo, hi] is slot (1 - s, d) on [lo - 1, hi + 1]: the widened rows are
+    the rows swapped and lengthened by two, and `_walk` fills the new
+    representatives of `_extension_plan` level by level.  A leaf restricts
+    to the table and passes every overlap that reaches the new boundary,
+    so it is consistent; while depth is above 1 it is widened in turn."""
+    codes, words = rows
+    wide = (
+        [codes[1] + ["", ""], codes[0] + ["", ""]],
+        [words[1] + [None, None], words[0] + [None, None]],
+    )
+    slots, levels = _extension_plan(lo, hi)
+    choice_lists = [_coded_choices(p, d, support_bound) for _, d in slots]
+    return any(
+        depth == 1 or _extends(memo, p, lo - 1, hi + 1, wide, support_bound, depth - 1)
+        for _ in _walk(memo, p, levels, slots, choice_lists, wide)
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def _extension_plan(lo: int, hi: int) -> tuple:
-    """What a widening of [lo, hi] to [lo - 1, hi + 1] needs: the orbit
-    representatives of the wider window that meet [lo, hi], each with the
-    shift to its first translate there; the free ones, in `_free_reps`
-    order; and, per backtracking level, the planned overlaps with a boundary
-    index (interior ones hold when the table on [lo, hi] is consistent),
-    each at the first level where every word it may collect through is
-    fixed."""
+    """What a widening of [lo, hi] to [lo - 1, hi + 1] fixes: the slots (s,
+    d) of the wider window, relative to lo - 1, of its orbit representatives
+    with no translate inside [lo, hi], in `_free_reps` order; and, per
+    backtracking level, the planned overlaps with a boundary index (interior
+    ones hold when the table on [lo, hi] is consistent), each at the first
+    level where every word it may collect through is fixed."""
     lo2, hi2 = lo - 1, hi + 1
-    anchored, new_reps = [], []
-    for i0, j0 in _free_reps(lo2, hi2):
-        shift = 2 if i0 < lo else 0
-        if j0 + shift <= hi:
-            anchored.append(((i0, j0), shift))
-        else:
-            new_reps.append((i0, j0))
+    # new: the first translate inside [lo, hi] (moved by 2 when it starts at lo2) ends past hi
+    new_reps = [(i0, j0) for i0, j0 in _free_reps(lo2, hi2) if j0 + 2 * (i0 < lo) > hi]
 
     def touches(rep, a, b):
         """Whether some translate of the representative lies inside [a, b]."""
@@ -659,69 +713,5 @@ def _extension_plan(lo: int, hi: int) -> tuple:
                 default=-1,
             )
             levels[last + 1].append(check)
-    return tuple(anchored), tuple(new_reps), tuple(_plan(lo2, level) for level in levels)
-
-
-def _consistent_extensions(wg: WindowGroup, support_bound: int, memo=None):
-    """Yield consistent shift-invariant widenings of the table to
-    [lo-1, hi+1], via backtracking over the newly free orbit representatives
-    with incremental overlap pruning through the overlap memo (a fresh one
-    without `memo`).
-
-    A table that is not shift-invariant is refused: no shift-invariant
-    widening restricts to it, and the widenings built from its orbit
-    representatives would be those of another table.  Every orbit that meets
-    the window is anchored on the word of its first translate there.  A node
-    is decided from the codes and letters of the orbit words alone, and only
-    a leaf that is yielded is built into a window.  A leaf restricts to the
-    table, and its other overlaps passed, so it has no `overlap_witness`
-    when the table has none."""
-    violation = shift_violation(wg, 2)
-    if violation is not None:
-        i, j = violation["pair"]
-        raise ValueError(
-            f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
-            f" differs from the word of ({i + 2}, {j + 2})"
-        )
-    p, lo, hi = wg.p, wg.lo, wg.hi
-    lo2, hi2 = lo - 1, hi + 1
-    anchored, new_reps, levels = _extension_plan(lo, hi)
-
-    rep_words = {}
-    codes = [[""] * (hi2 - lo2 + 1) for _ in range(2)]
-    words = [[None] * (hi2 - lo2 + 1) for _ in range(2)]
-    for (i0, j0), shift in anchored:
-        word = {k - shift: e for k, e in wg.comm.get((i0 + shift, j0 + shift), {}).items()}
-        # collection on the widenings would refuse such a word
-        if any(not i0 < k < j0 for k in word):
-            raise ValueError(zsystem.NOT_INTERIOR)
-        if word:
-            rep_words[(i0, j0)] = word
-        codes[i0 - lo2][j0 - i0], words[i0 - lo2][j0 - i0] = _coded(word, i0)
-    choice_lists = [_coded_choices(p, i, j, support_bound) for i, j in new_reps]
-    if memo is None:
-        memo = OverlapMemo()
-
-    # the walker is handed itself rather than reading its own name from this
-    # scope: a function whose closure holds itself is a reference cycle,
-    # which would keep the table and the memo alive until the cyclic garbage
-    # collector runs
-    def rec(rec, idx: int):
-        if not _checks_pass(memo, p, levels[idx], codes, words):
-            return
-        if idx == len(new_reps):
-            ext = WindowGroup(p, lo2, hi2, _propagate(lo2, hi2, rep_words))
-            if wg.overlap_witness is None:
-                ext.overlap_witness = None
-            yield ext
-            return
-        rep = new_reps[idx]
-        s, d = rep[0] - lo2, rep[1] - rep[0]
-        for word, code, letters in choice_lists[idx]:
-            rep_words[rep] = word
-            codes[s][d] = code
-            words[s][d] = letters
-            yield from rec(rec, idx + 1)
-        del rep_words[rep]
-
-    yield from rec(rec, 0)
+    slots = tuple((i0 - lo2, j0 - i0) for i0, j0 in new_reps)
+    return slots, tuple(_plan(lo2, level) for level in levels)

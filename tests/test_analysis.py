@@ -3,16 +3,15 @@ import gc
 import itertools
 
 import pytest
-from test_overlap_memo import orbits
+from test_overlap_memo import shift_invariant_windows, spread
 from test_series_oracle import commutator_subgroup, derived_series
 
 from zsys import analysis, zsystem
 from zsys.analysis import (
     CapExceeded,
-    _consistent_extensions,
+    _coded_choices,
     _free_reps,
-    _propagate,
-    _word_choices,
+    _orbit_rows,
     derived_subgroup,
     extendable,
     generate,
@@ -393,9 +392,10 @@ def test_search_p2_window_0_3_abelian_first():
 
 
 def test_search_and_extendable_leave_no_window_for_the_collector():
-    # the extension walker holds no reference to itself, so no window the
-    # search builds or widens waits for the cyclic garbage collector: with
-    # the collector off, a collection afterwards finds none of them
+    # the walker is a module-level function and holds no reference to
+    # itself, so no window that the search builds or a certificate reads
+    # waits for the cyclic garbage collector: with the collector off, a
+    # collection afterwards finds none of them
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -493,42 +493,90 @@ def test_class_three_tower_dies_at_second_widening():
     assert not extendable(wg, support_bound=1, depth=2)
 
 
+def walked_widenings(wg: WindowGroup, support_bound: int) -> list:
+    """Every widening of the table to [lo - 1, hi + 1] that the walk of
+    `extendable(wg, support_bound, 1)` reaches, as the window of the orbit
+    rows it holds at that leaf.  The walk is wrapped so that its root
+    records each leaf and yields none, so the certificate answers False and
+    walks them all; the walk's calls of itself pass through."""
+    lo, hi = wg.lo - 1, wg.hi + 1
+    walk, leaves = analysis._walk, []
+
+    def recording(memo, p, levels, slots, choice_lists, rows, idx=0):
+        if idx:
+            return walk(memo, p, levels, slots, choice_lists, rows, idx)
+        words = rows[1]
+        for _ in walk(memo, p, levels, slots, choice_lists, rows):
+            rep_words = {
+                (i, j): {i + k: e for k, e in words[i - lo][j - i]} for i, j in _free_reps(lo, hi)
+            }
+            leaves.append(spread(wg.p, lo, hi, rep_words))
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_walk", recording)
+        assert not extendable(wg, support_bound, 1)
+    return leaves
+
+
 def test_consistent_extensions_contain_derived_widening():
     wg = unitary(3, 0, 4)
     wider = unitary(3, -1, 5)
-    assert any(ext == wider for ext in _consistent_extensions(wg, 1))
+    assert any(ext == wider for ext in walked_widenings(wg, 1))
 
 
 def test_extensions_of_a_table_that_is_not_shift_invariant():
-    # each orbit is anchored on its first translate in the window, so the
-    # widenings built for wg would be those of the table that these
-    # translates spread to; so `_consistent_extensions`, and with it
-    # `extendable`, refuses wg and names the first pair that moves
+    # the rows hold the word of each orbit's representative only, so the
+    # widenings walked for wg would be those of the table that these words
+    # spread to; so `extendable` refuses wg and names the first pair that
+    # moves
     wg = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}})
-    spread = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}, (2, 4): {3: 2}})
-    assert overlap_violation(wg) is None and overlap_violation(spread) is None
+    spread_wg = WindowGroup(3, 0, 4, {(0, 2): {1: 2}, (0, 4): {2: 1}, (2, 4): {3: 2}})
+    assert overlap_violation(wg) is None and overlap_violation(spread_wg) is None
     assert shift_violation(wg, 2) is not None
-    found = list(_consistent_extensions(spread, 1))
+    found = walked_widenings(spread_wg, 1)
     assert found
     for wider in found:
         inner = {(i, j): w for (i, j), w in wider.comm.items() if 0 <= i and j <= 4}
-        assert inner == spread.comm and overlap_violation(wider) is None
-    assert shift_violation(spread, 2) is None and extendable(spread, 1, 1)
+        assert inner == spread_wg.comm and overlap_violation(wider) is None
+    assert shift_violation(spread_wg, 2) is None and extendable(spread_wg, 1, 1)
     lone = WindowGroup(3, 0, 4, {(0, 2): {1: 1}})
     refusal = r"not shift-invariant: the word of \(0, 2\)"
     for table, depth in itertools.product((wg, lone), (1, 2)):
         with pytest.raises(ValueError, match=refusal):
             extendable(table, 1, depth)
-        with pytest.raises(ValueError, match=refusal):
-            next(_consistent_extensions(table, 1))
 
 
-def shift_invariant_windows(p, lo, hi, support_bound):
-    """Every shift-invariant interior table on [lo, hi], in search order."""
-    reps = _free_reps(lo, hi)
-    choice_lists = [_word_choices(p, i, j, support_bound) for i, j in reps]
-    for assignment in itertools.product(*choice_lists):
-        yield WindowGroup(p, lo, hi, _propagate(lo, hi, dict(zip(reps, assignment))))
+def test_extendable_refuses_an_inconsistent_table():
+    # the walk runs only the overlaps that reach a new boundary, so a table
+    # that fails inside would pass it: every widening of this one walks past
+    # its failing power check on x_4 x_0
+    wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (0, 4): {2: 1}, (2, 4): {3: 1}})
+    assert overlap_violation(wg)["kind"] == "power_left"
+    for depth in (1, 2):
+        with pytest.raises(ValueError, match=r"table is inconsistent: power_left at \[4, 0\]"):
+            extendable(wg, 1, depth)
+    # every shift-invariant table of p=2 [0, 4] is refused exactly when the
+    # overlap test fails on it
+    for table in shift_invariant_windows(2, 0, 4, 1):
+        if overlap_violation(table) is None:
+            extendable(table, 1, 1)
+        else:
+            with pytest.raises(ValueError, match="table is inconsistent"):
+                extendable(table, 1, 1)
+
+
+def test_extendable_refuses_a_negative_support_bound():
+    wg = WindowGroup(3, 0, 4, {(0, 4): {2: 1}})
+    for depth in (1, 2):
+        with pytest.raises(ValueError, match="support bound must be nonnegative"):
+            extendable(wg, -1, depth)
+    # the depth is checked first, then the bound, then the table
+    with pytest.raises(ValueError, match="depth"):
+        extendable(wg, -1, 0)
+    with pytest.raises(ValueError, match="support bound"):
+        extendable(WindowGroup(3, 0, 4, {(0, 2): {1: 1}}), -1, 1)
+    assert extendable(wg, 0, 1)
 
 
 def test_overlap_decision_matches_exhaustive_oracle():
@@ -560,28 +608,72 @@ def test_consistent_extensions_match_brute_force(p, hi):
         widenings.setdefault(WindowGroup(p, 0, hi, inner), []).append(wider)
     for wg in tables:
         expected = {w for w in widenings.get(wg, []) if overlap_violation(w) is None}
-        found = list(_consistent_extensions(wg, 1))
+        found = walked_widenings(wg, 1)
         assert len(found) == len(set(found))
         assert set(found) == expected, wg.comm
 
 
+def interior_words(p, i, j, support_bound) -> list:
+    """Every word of the pair (i, j) with at most support_bound nonzero
+    entries, from the exponent tuples over i+1 .. j-1."""
+    return [
+        {k: e for k, e in zip(range(i + 1, j), exps) if e}
+        for exps in itertools.product(range(p), repeat=j - i - 1)
+        if sum(1 for e in exps if e) <= support_bound
+    ]
+
+
+def brute_widenings(wg: WindowGroup, support_bound: int):
+    """Every consistent shift-invariant table on [lo - 1, hi + 1] that
+    restricts to the table, by the full overlap test of each: an orbit with
+    a translate inside [lo, hi] takes the word of its first one, and every
+    other orbit each word."""
+    lo, hi = wg.lo - 1, wg.hi + 1
+    reps = _free_reps(lo, hi)
+    choices = []
+    for i, j in reps:
+        t = 2 if i < wg.lo else 0
+        if j + t <= wg.hi:
+            choices.append([{k - t: e for k, e in wg.comm.get((i + t, j + t), {}).items()}])
+        else:
+            choices.append(interior_words(wg.p, i, j, support_bound))
+    for assignment in itertools.product(*choices):
+        wider = spread(wg.p, lo, hi, dict(zip(reps, assignment)))
+        if overlap_violation(wider) is None:
+            yield wider
+
+
+@pytest.mark.parametrize("p, hi", [(2, 2), (2, 3), (3, 2)])
+def test_depth_two_certificates_match_brute_force(p, hi):
+    # a certificate of depth 2 against a full overlap test of every
+    # shift-invariant table two steps wider: it must widen the widened rows
+    answers = []
+    for item in search_tables(p, 0, hi, 1):
+        wg = WindowGroup.from_json_dict(item["table"])
+        expected = any(
+            any(True for _ in brute_widenings(wider, 1)) for wider in brute_widenings(wg, 1)
+        )
+        assert extendable(wg, 1, 2) == expected, wg.comm
+        answers.append(expected)
+    assert True in answers
+
+
 def test_word_choices_match_filter_definition():
     # the direct construction against the definition it replaced: every
-    # exponent tuple over the interior positions, in product order, kept
-    # when at most support_bound entries are nonzero
+    # exponent tuple over the interior offsets, in product order, kept when
+    # at most support_bound entries are nonzero; collection reads the
+    # letters ascending, and the memo branches on the codes, so no two
+    # words of a pair share one
     for p in (2, 3, 5):
         for d in range(1, 9):
-            tuples = list(itertools.product(range(p), repeat=d - 1))
             for support_bound in range(4):
-                expected = [
-                    {k: e for k, e in zip(range(1, d), tup) if e}
-                    for tup in tuples
-                    if sum(1 for e in tup if e) <= support_bound
-                ]
-                words = _word_choices(p, 0, d, support_bound)
-                assert isinstance(words, tuple)
-                assert list(words) == expected, (p, d, support_bound)
-                assert _word_choices(p, 0, d, support_bound) is words
+                choices = _coded_choices(p, d, support_bound)
+                assert isinstance(choices, tuple)
+                expected = interior_words(p, 0, d, support_bound)
+                assert [dict(letters) for _, letters in choices] == expected, (p, d, support_bound)
+                assert len({code for code, _ in choices}) == len(choices)
+                assert all(letters == tuple(sorted(letters)) for _, letters in choices)
+                assert _coded_choices(p, d, support_bound) is choices
 
 
 def test_shared_extension_memo_matches_fresh_calls():
@@ -650,7 +742,7 @@ def consistent(wg: WindowGroup, memo: analysis.OverlapMemo) -> bool:
     the collector's ValueError."""
     if wg.zs5_ok() is not None:
         raise ValueError(zsystem.NOT_INTERIOR)
-    codes, words = orbits(wg)
+    codes, words = _orbit_rows(wg)
     return analysis._checks_pass(memo, wg.p, analysis._window_plan(wg.lo, wg.hi), codes, words)
 
 

@@ -12,26 +12,34 @@ from hypothesis import strategies as st
 from zsys import analysis, zsystem
 from zsys.analysis import (
     OverlapMemo,
-    _coded,
-    _consistent_extensions,
+    _coded_choices,
     _free_reps,
-    _propagate,
+    _orbit_rows,
+    extendable,
     search_tables,
 )
 from zsys.zsystem import WindowGroup, overlap_checks, overlap_violation
 
 
-def orbits(wg: WindowGroup) -> tuple:
-    """(codes, words): codes[s][d] and words[s][d] are the `_coded` code and
-    letters of the word of the pair (lo + s, lo + s + d), for s in (0, 1)
-    and each such pair at distance d >= 2 in the window; the other entries
-    are "" and None."""
-    codes = [[""] * wg.width for _ in range(2)]
-    words = [[None] * wg.width for _ in range(2)]
-    for i0, j0 in _free_reps(wg.lo, wg.hi):
-        s, d = i0 - wg.lo, j0 - i0
-        codes[s][d], words[s][d] = _coded(wg.comm.get((i0, j0), {}), i0)
-    return codes, words
+def spread(p, lo, hi, rep_words) -> WindowGroup:
+    """The window on [lo, hi] whose table holds the word of each orbit
+    representative (i, j) on every translate (i + 2t, j + 2t) inside it."""
+    table = {}
+    for (i, j), word in rep_words.items():
+        for t in range(0, hi - j + 1, 2):
+            table[(i + t, j + t)] = {k + t: e for k, e in word.items()}
+    return WindowGroup(p, lo, hi, table)
+
+
+def shift_invariant_windows(p, lo, hi, support_bound):
+    """Every shift-invariant interior table on [lo, hi], in search order."""
+    reps = _free_reps(lo, hi)
+    choice_lists = [
+        [{i + k: e for k, e in letters} for _, letters in _coded_choices(p, j - i, support_bound)]
+        for i, j in reps
+    ]
+    for assignment in itertools.product(*choice_lists):
+        yield spread(p, lo, hi, dict(zip(reps, assignment)))
 
 
 @st.composite
@@ -53,7 +61,7 @@ def table_families(draw, widths):
     tables = []
     for _ in range(draw(st.integers(1, 5))):
         rep_words = {rep: pool[draw(st.integers(0, 1))] for rep, pool in pools.items()}
-        tables.append(WindowGroup(p, lo, hi, _propagate(lo, hi, rep_words)))
+        tables.append(spread(p, lo, hi, rep_words))
     return tables
 
 
@@ -70,7 +78,7 @@ def test_tree_memo_matches_overlap_test_check_by_check(tables):
     # the second pass walks the trees that the first one grew
     memo = OverlapMemo()
     for wg in tables + tables[::-1]:
-        codes, words = orbits(wg)
+        codes, words = _orbit_rows(wg)
         for check in overlap_checks(wg.lo, wg.hi):
             (planned,) = analysis._plan(wg.lo, [check])
             expected = overlap_violation(wg, [check]) is not None
@@ -87,11 +95,11 @@ def test_tree_memo_matches_overlap_test_on_extension_nodes(tables, data):
     # starts at lo + s.
     memo = OverlapMemo()
     for wg in tables + tables[::-1]:
-        _, new_reps, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
-        level = data.draw(st.integers(0, len(new_reps)))
-        codes, words = orbits(wg)
-        for i, j in new_reps[level:]:
-            codes[i - wg.lo][j - i], words[i - wg.lo][j - i] = "", None
+        slots, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
+        level = data.draw(st.integers(0, len(slots)))
+        codes, words = _orbit_rows(wg)
+        for s, d in slots[level:]:
+            codes[s][d], words[s][d] = "", None
         for s, shape in levels[level]:
             check = tuple(wg.lo + s + k for k in shape)
             assert check[0] <= wg.hi
@@ -110,11 +118,11 @@ def test_tree_memo_grows_on_reads():
     # on that word is decided without a run
     memo = OverlapMemo()
     wg = WindowGroup(3, 0, 2, {(0, 2): {1: 1}})
-    codes, words = orbits(wg)
+    codes, words = _orbit_rows(wg)
     assert not memo_fails(memo, wg, codes, words, (0, (2, 1, 0)))
     assert memo.trees == {3: {(2, 1, 0): (0, 2, {codes[0][2]: False})}}
     wider = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (2, 4): {3: 1}, (1, 3): {2: 2}})
-    codes, words = orbits(wider)
+    codes, words = _orbit_rows(wider)
     assert not memo_fails(memo, wider, codes, words, (0, (2, 1, 0)))
     assert len(memo) == 1
 
@@ -144,7 +152,9 @@ def test_conflicting_reads_raise_and_change_nothing():
 
 def test_search_runs_the_overlap_test_only_in_its_memo(monkeypatch):
     # the windows the search builds carry the outcome its memo decided, so
-    # neither the class computation nor a depth-2 certificate runs the test
+    # neither the class computation nor a depth-2 certificate runs the test;
+    # and a certificate walks orbit rows only, so it builds no window at any
+    # depth
     callers = []
 
     def traced(*args, **kwargs):
@@ -155,13 +165,11 @@ def test_search_runs_the_overlap_test_only_in_its_memo(monkeypatch):
     stream = list(search_tables(3, 0, 4, 1, extend_depth=2))
     assert len(stream) == 199 and callers
     assert set(callers) == {OverlapMemo.run.__code__}
-    # a widening of a consistent table inherits its outcome
-    wg = WindowGroup.from_json_dict(stream[-1]["table"])
-    assert wg.overlap_witness is None
-    leaves = list(_consistent_extensions(wg, 1))
-    assert leaves
-    for ext in leaves:
-        assert vars(ext)["overlap_witness"] is None and overlap_violation(ext) is None
+    tables = [WindowGroup.from_json_dict(item["table"]) for item in stream[::10]]
+    assert all(wg.overlap_witness is None for wg in tables)
+    monkeypatch.setattr(WindowGroup, "__init__", lambda *args: pytest.fail("a window was built"))
+    answers = [extendable(wg, 1, depth) for depth in (1, 2, 3) for wg in tables]
+    assert True in answers and False in answers
 
 
 def test_a_memo_leaf_that_fails_answers_before_any_run(monkeypatch):
@@ -170,10 +178,8 @@ def test_a_memo_leaf_that_fails_answers_before_any_run(monkeypatch):
     found = 0
     for hi in (3, 4):
         plan = analysis._window_plan(0, hi)
-        reps = _free_reps(0, hi)
-        for assignment in itertools.product(*[analysis._word_choices(3, i, j, 1) for i, j in reps]):
-            wg = WindowGroup(3, 0, hi, _propagate(0, hi, dict(zip(reps, assignment))))
-            codes, words = orbits(wg)
+        for wg in shift_invariant_windows(3, 0, hi, 1):
+            codes, words = _orbit_rows(wg)
             # a memo that holds the tree of one failing check only, of
             # another shape than the first check's
             for planned in plan[1:]:
