@@ -10,7 +10,7 @@ the series and normal closures from commutators with the window
 generators: the class forms no subgroup, and each series term or normal
 closure is one closure of the rounds; the tests check each against
 subgroups built from the elements.  Every function here that reads the
-table as a group refuses an inconsistent one with `closure`'s error; the
+table as a group refuses an inconsistent one (`refuse_inconsistent`); the
 search stores its overlap outcome on each window it builds.
 
 Between a candidate and its certificate a shift-invariant table is only its
@@ -127,11 +127,9 @@ def _commutator_rounds(wg: WindowGroup, seeds) -> list:
     or trivial, so conjugation by x maps the finite <T> into, hence onto,
     itself.  The terms descend strictly in a group of order p^width, so
     there are at most width rounds; past them RuntimeError (an internal
-    error).  Refuses an inconsistent table with `closure`'s ValueError, and
+    error).  Refuses an inconsistent table (`refuse_inconsistent`), and
     raises CapExceeded on a round of more than `zsystem.DEFAULT_CAP`."""
-    witness = wg.overlap_witness
-    if witness is not None:
-        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+    zsystem.refuse_inconsistent(wg)
     p, identity, comm = wg.p, wg.identity_vec, wg.comm_vec
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     rounds = []
@@ -595,7 +593,7 @@ def _walk(memo: OverlapMemo, p: int, levels, slots, choice_lists, rows, idx: int
 def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: int = 1):
     """Enumerate all shift-invariant interior comm tables on the window, in a
     fixed lexicographic order; for each consistent one report its nilpotency
-    class and whether some one-step widening stays consistent.
+    class and whether it admits a chain of `extend_depth` consistent widenings.
 
     Yields dicts {"table": ..., "class": ..., "extendable": ...}.  Every
     argument is checked before the first table is yielded; an extend_depth
@@ -641,12 +639,12 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -
     below 1 (it would certify nothing), the support bound is negative, the
     table is not shift-invariant (no shift-invariant widening restricts to
     it), it is not strictly interior (the collector's error, which the
-    overlap test raises) or it is inconsistent (`closure`'s error: the walk
-    checks only the overlaps that reach a new boundary, so an inconsistent
-    table would pass).  Then its orbit rows are read once (`_orbit_rows`),
-    and the widenings are walked on rows alone (`_extends`): no window is
-    built.  `memo` is an `OverlapMemo` to share; without one the call owns
-    its own."""
+    overlap test raises) or it is inconsistent (`refuse_inconsistent`: the
+    walk checks only the overlaps that reach a new boundary, so an
+    inconsistent table would pass).  Then its orbit rows are read once
+    (`_orbit_rows`), and the widenings are walked on rows alone (`_extends`):
+    no window is built.  `memo` is an `OverlapMemo` to share; without one
+    the call owns its own."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
     if support_bound < 0:
@@ -658,9 +656,7 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -
             f"table is not shift-invariant: the word of ({i}, {j}) shifted by 2"
             f" differs from the word of ({i + 2}, {j + 2})"
         )
-    witness = wg.overlap_witness
-    if witness is not None:
-        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+    zsystem.refuse_inconsistent(wg)
     if memo is None:
         memo = OverlapMemo()
     return _extends(memo, wg.p, wg.lo, wg.hi, _orbit_rows(wg), support_bound, depth)

@@ -140,7 +140,7 @@ class WindowGroup:
     @functools.cached_property
     def _interior_ok(self) -> bool:
         """Whether every word is strictly interior, so collection is defined."""
-        return all(i < k < j for (i, j), word in self.comm.items() for k in word)
+        return self.zs5_ok() is None
 
     @functools.cached_property
     def _central(self) -> bool:
@@ -499,6 +499,13 @@ def derive_window(example, lo: int, hi: int) -> WindowGroup:
 # -- closure and consistency ---------------------------------------------
 
 
+def refuse_inconsistent(wg: WindowGroup) -> None:
+    """Raise ValueError("table is inconsistent: ...") on an `overlap_witness`."""
+    witness = wg.overlap_witness
+    if witness is not None:
+        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+
+
 def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     """The subgroup generated by the seeds, as the set of its packed elements
     (`WindowGroup.pack`: bytes when p <= 256, else tuples), by Dimino's coset
@@ -531,15 +538,12 @@ def closure(wg: WindowGroup, seed_vecs, cap: int | None = None) -> set:
     packed slices, and nothing is decoded.
 
     A coset is added without a membership test, which is exact only on a
-    group: a window with an `overlap_witness` raises ValueError("table is
-    inconsistent: <kind> at <indices>") before any product.
+    group, so an inconsistent window is refused first (`refuse_inconsistent`).
 
     Raises CapExceeded when the subgroup has more than `cap` elements
     (DEFAULT_CAP when None), once the coset holding its cap + 1st element is
     added."""
-    witness = wg.overlap_witness
-    if witness is not None:
-        raise ValueError(f"table is inconsistent: {witness['kind']} at {witness['indices']}")
+    refuse_inconsistent(wg)
     cap = DEFAULT_CAP if cap is None else cap
     p, mul, pack = wg.p, wg.mul_vec, wg.pack
     identity = pack(wg.identity_vec)

@@ -12,6 +12,7 @@ from zsys.analysis import (
     _coded_choices,
     _free_reps,
     _orbit_rows,
+    _propagate,
     derived_subgroup,
     extendable,
     generate,
@@ -656,6 +657,50 @@ def test_depth_two_certificates_match_brute_force(p, hi):
         assert extendable(wg, 1, 2) == expected, wg.comm
         answers.append(expected)
     assert True in answers
+
+
+def certified_forever(wg: WindowGroup) -> bool:
+    """Whether the shift-invariant table is certified to be the window of an
+    infinite shift-invariant consistent table.
+
+    Locality lemma: let a shift-invariant table have every word past
+    distance R empty, and take an overlap check (k, j, i), i < j < k, of
+    span k - i > 2R.  Then k - j > R or j - i > R.  If k - j > R, x_k
+    commutes with x_j, with x_i and with every letter between them, so both
+    sides collect to the normal form of x_j x_i followed by x_k; if j - i > R
+    the same holds with x_i on the other side.  A power check (j, i) with
+    j - i > R holds trivially.  So every check that can fail has span at
+    most 2R, and up to a translation by 2 it lies in a window of width
+    2R + 2.
+
+    R here is the longest distance with a nonempty word.  The certificate
+    is the overlap test of the shift-invariant table on [lo, lo + 2R + 1]
+    with the same orbit words up to distance R and empty words past it (an
+    orbit that the window does not reach is empty too).  When it passes,
+    every window of the infinite table passes, so the table extends
+    forever."""
+    reach = max((j - i for i, j in wg.comm), default=0)
+    slots = [(s, d) for s in (0, 1) for d in range(2, reach + 1)]
+    words = _orbit_rows(wg)[1]
+    hi = wg.lo + 2 * reach + 1
+    wider = WindowGroup(wg.p, wg.lo, hi, _propagate(wg.lo, hi, slots, words))
+    return overlap_violation(wider) is None
+
+
+def test_forever_certificates_agree_with_extendable():
+    # the two certificates checked against each other: a table certified
+    # forever extends at every depth, and by the paper has class at most 2
+    def certified(items):
+        return [item for item in items if certified_forever(WindowGroup.from_json_dict(item["table"]))]
+
+    items = list(search_tables(3, 0, 4, 1, 2))
+    assert (len(items), len(certified(items))) == (199, 17)
+    assert all(item["extendable"] and item["class"] < 3 for item in certified(items))
+    # six widenings deep, where the undecided tables have died: the
+    # extendable set is the certified set
+    items = list(search_tables(2, 0, 5, 1, 6))
+    assert (len(items), len(certified(items))) == (115, 11)
+    assert certified(items) == [item for item in items if item["extendable"]]
 
 
 def test_word_choices_match_filter_definition():
