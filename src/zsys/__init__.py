@@ -19,8 +19,6 @@ from .zsystem import (
     verify_zs_axioms,
 )
 from .analysis import (
-    Subgroup,
-    generate,
     lemma_checks,
     lower_central_series,
     lower_cutoff,

@@ -3,10 +3,11 @@ central series and nilpotency class, lower cutoff, the abelian criterion,
 shift-invariant closures, lemma property checks, and the exhaustive search
 over shift-invariant commutation tables.
 
-Subgroups are materialized element sets (windows at desk scale are small),
-enumerated by cosets in `zsystem.closure` and kept in its packed form
-(`WindowGroup.pack`).  One rule, `_commutator_rounds`, gives the class,
-the series and normal closures from commutators with the window
+A subgroup is the set of its packed elements (`WindowGroup.pack`) that
+`zsystem.closure` enumerates by cosets (windows at desk scale are small):
+its order is `len`, a proper subgroup is `<`, and a vector v is a member
+when `wg.pack(v)` is in the set.  One rule, `_commutator_rounds`, gives the
+class, the series and normal closures from commutators with the window
 generators: the class forms no subgroup, and each series term or normal
 closure is one closure of the rounds; the tests check each against
 subgroups built from the elements.  Every function here that reads the
@@ -14,7 +15,7 @@ table as a group refuses an inconsistent one (`refuse_inconsistent`); the
 search stores its overlap outcome on each window it builds.
 
 Between a candidate and its certificate a shift-invariant table is only its
-orbit rows: codes[s][d] and words[s][d] hold the word of the pairs at
+orbit rows: words[s][d] holds the letters of the word of the pairs at
 distance d whose start has parity s relative to the window's lo.  One
 backtracking routine, `_walk`, sets the rows' slots level by level.  The
 search walks its window's orbit representatives with no check on the way
@@ -57,57 +58,6 @@ from .zsystem import verify_zs_axioms  # noqa: F401
 CutoffResult = namedtuple("CutoffResult", ["value", "witness"])
 
 
-class Subgroup:
-    """A subgroup of a window group as an explicit, enumerated element set.
-
-    It keeps, as `packed`, the set of packed elements (`WindowGroup.pack`)
-    that `closure` returns; `elements` is the same set as exponent tuples,
-    built on first use.  Membership, subset (`packed <`), equality and
-    `sorted_elements` read the packed set."""
-
-    def __init__(self, window: WindowGroup, generators, packed):
-        self.window = window
-        self.generators = tuple(generators)
-        self.packed = frozenset(packed)
-
-    @functools.cached_property
-    def elements(self) -> frozenset:
-        return frozenset(map(tuple, self.packed))
-
-    @property
-    def order(self) -> int:
-        return len(self.packed)
-
-    def __contains__(self, vec) -> bool:
-        try:
-            return self.window.pack(vec) in self.packed
-        except ValueError:
-            # an entry bytes cannot hold lies outside 0..p-1: not a member
-            return False
-
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.packed == other.packed
-
-    def __hash__(self):
-        return hash(self.packed)
-
-    def sorted_elements(self) -> list:
-        return [tuple(v) for v in sorted(self.packed)]
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order} of {self.window!r})"
-
-
-def generate(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
-    """The subgroup generated by the vectors, enumerated by `closure` (coset
-    enumeration, which refuses an inconsistent table)."""
-    gens = [tuple(v) for v in gen_vecs]
-    return Subgroup(wg, gens, closure(wg, gens, cap))
-
-
 def _table_words(wg: WindowGroup) -> list:
     """The table words as vectors: on a consistent table [x_j, x_i] = w(i, j),
     so they generate X' as a normal subgroup."""
@@ -146,27 +96,24 @@ def _commutator_rounds(wg: WindowGroup, seeds) -> list:
     return rounds
 
 
-def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> Subgroup:
+def normal_closure(wg: WindowGroup, gen_vecs, cap=None) -> set:
     """Smallest subgroup containing the seeds and closed under conjugation by
-    the window generators (hence by the whole group): the subgroup generated
-    by every round of `_commutator_rounds`, the seeds and their iterated
-    commutators with the window generators, which is normal with no test."""
-    return generate(wg, itertools.chain(*_commutator_rounds(wg, gen_vecs)), cap)
-
-
-def derived_subgroup(wg: WindowGroup, cap=None) -> Subgroup:
-    """X' = [X, X]: the normal closure of the table words."""
-    return normal_closure(wg, _table_words(wg), cap)
+    the window generators (hence by the whole group), as packed elements:
+    the closure of every round of `_commutator_rounds`, the seeds and their
+    iterated commutators with the window generators, which is normal with
+    no test."""
+    return closure(wg, itertools.chain(*_commutator_rounds(wg, gen_vecs)), cap)
 
 
 def lower_central_series(wg: WindowGroup, cap=None) -> list:
-    """[X, X'=gamma_2, gamma_3, ...] down to the trivial subgroup.  The first
-    term stands for the whole group and is not materialized.  With S_1, S_2,
-    ... the rounds of the table words (`_commutator_rounds`), gamma_(k+1) is
+    """[X, X'=gamma_2, gamma_3, ...] down to the trivial subgroup, each term
+    after the first the packed set that `closure` returns.  The first term
+    stands for the whole group and is not materialized.  With S_1, S_2, ...
+    the rounds of the table words (`_commutator_rounds`), gamma_(k+1) is
     generated by the rounds from S_k on; the rounds are formed once, and each
     term is one closure."""
     rounds = _commutator_rounds(wg, _table_words(wg))
-    terms = [generate(wg, itertools.chain(*rounds[k:]), cap) for k in range(len(rounds) + 1)]
+    terms = [closure(wg, itertools.chain(*rounds[k:]), cap) for k in range(len(rounds) + 1)]
     return [None] + terms  # None for the whole group
 
 
@@ -233,8 +180,10 @@ def single_shift_extends(wg: WindowGroup) -> bool:
 
 
 def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
-    """Subgroup generated by every in-window translate of the two seeds, with
-    the parity split of the occurring start indices."""
+    """(packed, report): the subgroup generated by every in-window translate
+    of the two seeds, as the packed set of `closure`, and the report that
+    `shiftinv` prints: its order, the translates, and the parity split of
+    the start indices of its nontrivial elements."""
     gens = []
     for vec in (tuple(a_vec), tuple(b_vec)):
         support = [idx for idx, e in zip(wg.indices(), vec) if e]
@@ -244,15 +193,17 @@ def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
         while support[-1] + 2 * k <= wg.hi:
             gens.append(wg.shift_vec(vec, k))
             k += 1
-    sub = generate(wg, gens, cap)
+    packed = closure(wg, gens, cap)
     identity = wg.pack(wg.identity_vec)
-    starts = {wg.stats_vec(v).start for v in sub.packed if v != identity}
-    info = {
+    starts = {wg.stats_vec(v).start for v in packed if v != identity}
+    report = {
+        "order": len(packed),
+        "generators": [list(v) for v in gens],
         "even_start_nonempty": any(s % 2 == 0 for s in starts),
         "odd_start_nonempty": any(s % 2 == 1 for s in starts),
         "start_indices": sorted(starts),
     }
-    return sub, info
+    return packed, report
 
 
 # bilinearity trials past which lemma_checks refuses to run: a trial forms
@@ -305,7 +256,7 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     checks["cutoff_alternation"] = entry
 
     series = lower_central_series(wg, cap)
-    derived = series[1].sorted_elements()
+    derived = [tuple(v) for v in sorted(series[1])]
     # gamma_4, the trivial last term when the series is shorter
     gamma4 = series[min(3, len(series) - 1)]
     witness = None
@@ -315,22 +266,22 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
         x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
         lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
         base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
-        if lhs != base and wg.mul_vec(wg.inv_vec(base), lhs) not in gamma4:
+        if lhs != base and wg.pack(wg.mul_vec(wg.inv_vec(base), lhs)) not in gamma4:
             witness = {"y": list(y), "y2": list(y2), "x": list(x)}
             break
     checks["commutator_bilinearity"] = report_entry(witness, trials=trials)
 
     witness = next(
         (
-            {"term_order": term.order, "image_order": image.order}
+            {"term_order": len(term), "image_order": len(image)}
             for term, image in zip(series[1:], series[2:])
-            if not image.packed < term.packed
+            if not image < term
         ),
         None,
     )
     # the whole group itself also shrinks: [X, X] is proper
-    if witness is None and series[1].order >= wg.order:
-        witness = {"term_order": wg.order, "image_order": series[1].order}
+    if witness is None and len(series[1]) >= wg.order:
+        witness = {"term_order": wg.order, "image_order": len(series[1])}
     checks["commutator_image_proper"] = report_entry(witness)
 
     abelian = wg.is_abelian()
@@ -356,21 +307,13 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
 # -- search over shift-invariant tables -------------------------------------
 
 
-def _code(letters) -> str:
-    """The string that the overlap memo branches on for a word of ascending
-    (offset, exponent) letters: their number and then each offset and
-    exponent (in decimal, closed by a comma, so that any modulus fits)."""
-    return chr(len(letters)) + "".join(f"{chr(k)}{e}," for k, e in letters)
-
-
 @functools.lru_cache(maxsize=None)
-def _coded_choices(p: int, d: int, support_bound: int) -> tuple:
-    """(code, letters) for every interior word of a pair at distance d with
-    at most support_bound nonzero entries, in lexicographic order of the
-    exponent tuple over the offsets 1 .. d-1: the letters are the word's
-    ascending (offset from the pair's start, exponent) and the code is
-    theirs (`_code`).  Built once per argument tuple and shared by every
-    caller."""
+def _word_choices(p: int, d: int, support_bound: int) -> tuple:
+    """The letters of every interior word of a pair at distance d with at
+    most support_bound nonzero entries, in lexicographic order of the
+    exponent tuple over the offsets 1 .. d-1: each word is its ascending
+    (offset from the pair's start, exponent) letters.  Built once per
+    argument tuple and shared by every caller."""
     words = [
         tuple(zip(support, exps))
         for n in range(min(support_bound, d - 1) + 1)
@@ -378,7 +321,7 @@ def _coded_choices(p: int, d: int, support_bound: int) -> tuple:
         for exps in itertools.product(range(1, p), repeat=n)
     ]
     words.sort(key=lambda letters: tuple(dict(letters).get(k, 0) for k in range(1, d)))
-    return tuple((_code(letters), letters) for letters in words)
+    return tuple(words)
 
 
 def _free_reps(lo: int, hi: int) -> list:
@@ -392,18 +335,16 @@ def _free_reps(lo: int, hi: int) -> list:
     return reps
 
 
-def _orbit_rows(wg: WindowGroup) -> tuple:
-    """(codes, words), the orbit rows of a shift-invariant table: codes[s][d]
-    and words[s][d] are the `_code` and the letters of the word of the pair
-    (lo + s, lo + s + d), for s in (0, 1) and each such pair at distance
-    d >= 2 in the window; the other entries are "" and None."""
-    codes = [[""] * wg.width for _ in range(2)]
+def _orbit_rows(wg: WindowGroup) -> list:
+    """The orbit rows of a shift-invariant table: words[s][d] is the letters
+    of the word of the pair (lo + s, lo + s + d), for s in (0, 1) and each
+    such pair at distance d >= 2 in the window; the other entries are
+    None."""
     words = [[None] * wg.width for _ in range(2)]
     for i, j in _free_reps(wg.lo, wg.hi):
         word = wg.comm.get((i, j), {})
-        letters = tuple((k - i, word[k]) for k in sorted(word))
-        codes[i - wg.lo][j - i], words[i - wg.lo][j - i] = _code(letters), letters
-    return codes, words
+        words[i - wg.lo][j - i] = tuple((k - i, word[k]) for k in sorted(word))
+    return words
 
 
 def _propagate(lo: int, hi: int, slots, words) -> dict:
@@ -469,8 +410,8 @@ class OverlapMemo:
     tree per (p, check shape), the shape being the check minus its lowest
     index i.  An internal node is a tuple (s, d, branches) for the orbit
     slot that collection reads next, the pairs at distance d whose start
-    has parity s relative to i, and its branches map that orbit word's code
-    to the next node; a leaf is a bool, true when the check fails.
+    has parity s relative to i, and its branches map that orbit word's
+    letters to the next node; a leaf is a bool, true when the check fails.
     Collection is deterministic, so the slot read next depends only on the
     words read so far, and a recorded path that disagrees with the tree is
     an internal error.  `len` is the number of leaves."""
@@ -488,23 +429,23 @@ class OverlapMemo:
         self.trees.clear()
         self.leaves = 0
 
-    def run(self, p: int, shape: tuple, codes, words) -> bool:
+    def run(self, p: int, shape: tuple, words) -> bool:
         """Whether the check of this shape fails, by `overlap_violation` on the
-        window [0, shape[0]] read from the orbit words (codes[s][d] and
-        words[s][d] are those of slot (s, d)), inserted on the path of the
-        slots the run reads.  The window takes the generic fold on an empty
-        crossing memo, so every word the outcome depends on is read."""
+        window [0, shape[0]] read from the orbit words (words[s][d] is that
+        of slot (s, d)), inserted on the path of the slots the run reads.
+        The window takes the generic fold on an empty crossing memo, so every
+        word the outcome depends on is read."""
         reads = _OrbitReads(words)
         window = WindowGroup.reading(p, 0, shape[0], reads)
         failed = zsystem.overlap_violation(window, [shape]) is not None
-        self.insert(p, shape, [(s, d, codes[s][d]) for s, d in reads.slots], failed)
+        self.insert(p, shape, [(s, d, words[s][d]) for s, d in reads.slots], failed)
         return failed
 
     def insert(self, p: int, shape: tuple, path: list, failed: bool):
-        """Add the leaf `failed` at the end of `path`, the (s, d, code) reads
-        of one run in order.  Raises RuntimeError, and changes nothing, when
-        the tree already reads another slot along the path, or already holds
-        a node where the path ends."""
+        """Add the leaf `failed` at the end of `path`, the (s, d, letters)
+        reads of one run in order.  Raises RuntimeError, and changes
+        nothing, when the tree already reads another slot along the path, or
+        already holds a node where the path ends."""
         branches, key = self.trees.setdefault(p, {}), shape
         at = 0
         while key in branches:
@@ -517,8 +458,8 @@ class OverlapMemo:
             branches, key = node[2], path[at][2]
             at += 1
         node = failed
-        for s, d, code in reversed(path[at:]):
-            node = (s, d, {code: node})
+        for s, d, letters in reversed(path[at:]):
+            node = (s, d, {letters: node})
         branches[key] = node
         self.leaves += 1
 
@@ -529,22 +470,21 @@ class OverlapMemo:
 MEMO_LIMIT = 1 << 16
 
 
-def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
+def _checks_pass(memo: OverlapMemo, p: int, plan, words) -> bool:
     """Whether every planned check passes on the shift-invariant table with
-    these orbit rows (`_orbit_rows`): codes[s][d] and words[s][d] are the
-    code and letters of the word of the pair (lo + s, lo + s + d) of its
-    window [lo, hi].  Every check is first decided, where it can be,
-    by walking its tree on the codes, and the first failing leaf answers with
-    no check run.  Only then are the checks left undecided run through
-    `OverlapMemo.run`, in plan order, each tree walked again just before its
-    run: the two parities of one shape share a tree, so the run of one may
-    have decided the other.  A memo that holds more than MEMO_LIMIT leaves
-    is emptied first, so it never holds more than that plus the leaves of
-    one call."""
+    these orbit rows (`_orbit_rows`): words[s][d] is the letters of the word
+    of the pair (lo + s, lo + s + d) of its window [lo, hi].  Every check is
+    first decided, where it can be, by walking its tree on the words, and
+    the first failing leaf answers with no check run.  Only then are the
+    checks left undecided run through `OverlapMemo.run`, in plan order, each
+    tree walked again just before its run: the two parities of one shape
+    share a tree, so the run of one may have decided the other.  A memo that
+    holds more than MEMO_LIMIT leaves is emptied first, so it never holds
+    more than that plus the leaves of one call."""
     if len(memo) > MEMO_LIMIT:
         memo.clear()
     trees = memo.trees.setdefault(p, {})
-    rows = ((codes[0], codes[1]), (codes[1], codes[0]))
+    rows = ((words[0], words[1]), (words[1], words[0]))
     undecided = []
     for check in plan:
         s0, shape = check
@@ -564,30 +504,29 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, codes, words) -> bool:
             s, d, branches = node
             node = branches.get(slots[s][d])
         if node is None:
-            node = memo.run(p, shape, slots, (words[s0], words[1 - s0]))
+            node = memo.run(p, shape, slots)
         if node:
             return False
     return True
 
 
-def _walk(memo: OverlapMemo, p: int, levels, slots, choice_lists, rows, idx: int = 0):
+def _walk(memo: OverlapMemo, p: int, levels, slots, choice_lists, words, idx: int = 0):
     """The one backtracking routine: set the orbit slots slots[idx:] of the
-    rows (codes, words) to each of their (code, letters) choices in turn,
-    the last slot varying fastest, as `itertools.product` does, and yield at
-    every leaf, while the rows hold its words.  A node at level idx, which
-    has set the slots before idx, goes on only when `_checks_pass` passes
-    its planned checks levels[idx]; those read no slot set at idx or after."""
-    codes, words = rows
-    if not _checks_pass(memo, p, levels[idx], codes, words):
+    rows `words` to each of their choices of letters in turn, the last slot
+    varying fastest, as `itertools.product` does, and yield at every leaf,
+    while the rows hold its words.  A node at level idx, which has set the
+    slots before idx, goes on only when `_checks_pass` passes its planned
+    checks levels[idx]; those read no slot set at idx or after."""
+    if not _checks_pass(memo, p, levels[idx], words):
         return
     if idx == len(slots):
         yield
         return
     s, d = slots[idx]
-    code_row, word_row = codes[s], words[s]
-    for code, letters in choice_lists[idx]:
-        code_row[d], word_row[d] = code, letters
-        yield from _walk(memo, p, levels, slots, choice_lists, rows, idx + 1)
+    row = words[s]
+    for letters in choice_lists[idx]:
+        row[d] = letters
+        yield from _walk(memo, p, levels, slots, choice_lists, words, idx + 1)
 
 
 def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: int = 1):
@@ -616,14 +555,13 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
     if support_bound < 0:
         raise ValueError("support bound must be nonnegative")
     slots = [(i - lo, j - i) for i, j in _free_reps(lo, hi)]
-    choice_lists = [_coded_choices(p, d, support_bound) for _, d in slots]
+    choice_lists = [_word_choices(p, d, support_bound) for _, d in slots]
     plan = _window_plan(lo, hi)
-    codes = [[""] * (hi - lo + 1) for _ in range(2)]
     words = [[None] * (hi - lo + 1) for _ in range(2)]
     memo = OverlapMemo()
-    for _ in _walk(memo, p, ((),) * (len(slots) + 1), slots, choice_lists, (codes, words)):
+    for _ in _walk(memo, p, ((),) * (len(slots) + 1), slots, choice_lists, words):
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, slots, words))
-        if not _checks_pass(memo, p, plan, codes, words):
+        if not _checks_pass(memo, p, plan, words):
             continue
         wg.overlap_witness = None
         cls = nilpotency_class(wg)
@@ -662,22 +600,18 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -
     return _extends(memo, wg.p, wg.lo, wg.hi, _orbit_rows(wg), support_bound, depth)
 
 
-def _extends(memo: OverlapMemo, p: int, lo: int, hi: int, rows, support_bound: int, depth: int):
+def _extends(memo: OverlapMemo, p: int, lo: int, hi: int, words, support_bound: int, depth: int):
     """Whether the consistent shift-invariant table with the orbit rows
-    (codes, words) on [lo, hi] has a chain of `depth` consistent widenings.
-    Codes and letters are relative to the start of a pair, so slot (s, d) on
-    [lo, hi] is slot (1 - s, d) on [lo - 1, hi + 1]: the widened rows are
-    the rows swapped and lengthened by two, and `_walk` fills the new
-    representatives of `_extension_plan` level by level.  A leaf restricts
-    to the table and passes every overlap that reaches the new boundary,
-    so it is consistent; while depth is above 1 it is widened in turn."""
-    codes, words = rows
-    wide = (
-        [codes[1] + ["", ""], codes[0] + ["", ""]],
-        [words[1] + [None, None], words[0] + [None, None]],
-    )
+    `words` on [lo, hi] has a chain of `depth` consistent widenings.  Letters
+    are relative to the start of a pair, so slot (s, d) on [lo, hi] is slot
+    (1 - s, d) on [lo - 1, hi + 1]: the widened rows are the rows swapped
+    and lengthened by two, and `_walk` fills the new representatives of
+    `_extension_plan` level by level.  A leaf restricts to the table and
+    passes every overlap that reaches the new boundary, so it is
+    consistent; while depth is above 1 it is widened in turn."""
+    wide = [words[1] + [None, None], words[0] + [None, None]]
     slots, levels = _extension_plan(lo, hi)
-    choice_lists = [_coded_choices(p, d, support_bound) for _, d in slots]
+    choice_lists = [_word_choices(p, d, support_bound) for _, d in slots]
     return any(
         depth == 1 or _extends(memo, p, lo - 1, hi + 1, wide, support_bound, depth - 1)
         for _ in _walk(memo, p, levels, slots, choice_lists, wide)

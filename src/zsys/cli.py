@@ -6,8 +6,8 @@ passes, 1 when a check fails (the JSON carries witnesses), 2 for usage,
 malformed-input, or resource errors.  `class`, `lemmas` and `shiftinv`
 need a group: they refuse an inconsistent table and exit 2, where `axioms`
 reports the witness.  `axioms`, `lemmas` and `shiftinv` form closures, and
-only they take `--cap` or read ZSYS_CLOSURE_CAP; `class` and `search` find
-the class from commutators alone and form none.  Identical
+only they take `--cap`; `class` and `search` find the class from
+commutators alone and form none.  Identical
 invocations produce byte-identical payloads; wall-clock timings, when
 present, live in a separate "timings" field.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -26,8 +25,6 @@ from . import analysis, rgd, zsystem
 from .matgroup import make_example
 from .zsystem import CapExceeded, WindowGroup, derive_window
 
-CAP_ENV = "ZSYS_CLOSURE_CAP"
-
 # options that take a word, and the start of a word whose first letter has a
 # negative index, which argparse would read as an option
 WORD_OPTIONS = ("--word", "--left", "--right", "--a", "--b")
@@ -35,20 +32,13 @@ NEGATIVE_LETTER = re.compile(r"-\d+:")
 
 
 def _closure_cap(args) -> int:
-    """The --cap value, else ZSYS_CLOSURE_CAP, else the default; a cap that is
-    not a positive integer is a usage error."""
-    cap, source = args.cap, "--cap"
-    if cap is None:
-        raw = os.environ.get(CAP_ENV)
-        if raw is None:
-            return zsystem.DEFAULT_CAP
-        try:
-            cap, source = int(raw), CAP_ENV
-        except ValueError:
-            raise ValueError(f"{CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap <= 0:
-        raise ValueError(f"{source} must be positive, got {cap}")
-    return cap
+    """The --cap value, else the default; a cap that is not positive is a
+    usage error."""
+    if args.cap is None:
+        return zsystem.DEFAULT_CAP
+    if args.cap <= 0:
+        raise ValueError(f"--cap must be positive, got {args.cap}")
+    return args.cap
 
 
 def _add_source_args(sub):
@@ -248,13 +238,8 @@ def main(argv=None) -> int:
             wg = _load_window(args)
             a = wg.collect(_parse_word(args.a))
             b = wg.collect(_parse_word(args.b))
-            sub_group, info = analysis.shift_invariant_closure(wg, a, b, cap)
-            payload = {
-                "order": sub_group.order,
-                "generators": [list(v) for v in sub_group.generators],
-                **info,
-            }
-            _emit(payload, pretty)
+            _, report = analysis.shift_invariant_closure(wg, a, b, cap)
+            _emit(report, pretty)
             return 0
 
         if args.command == "rgd":

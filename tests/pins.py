@@ -72,6 +72,20 @@ PINS = (
         {EXHAUSTIVE: 1, '"order":66049': 1},
     ),
     Pin(
+        "lemmas unitary p=257 [0,5], series terms packed as tuples",
+        "lemmas --example unitary --p 257 --window 0 5 --trials 200",
+        1,
+        "2001747aad350038",
+        {},
+    ),
+    Pin(
+        "shiftinv unitary p=257 [0,3], elements packed as tuples",
+        "shiftinv --example unitary --p 257 --window 0 3 --a 1:1 --b 0:0",
+        1,
+        "ca4fa268a62b7329",
+        {'"order":66049': 1},
+    ),
+    Pin(
         "lemmas unitary p=5 [0,7] at the trial budget",
         "lemmas --example unitary --p 5 --window 0 7 --trials 100000 --seed 1",
         1,

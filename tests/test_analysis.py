@@ -3,19 +3,18 @@ import gc
 import itertools
 
 import pytest
+from test_closure_oracle import elements
 from test_overlap_memo import shift_invariant_windows, spread
 from test_series_oracle import commutator_subgroup, derived_series
 
 from zsys import analysis, zsystem
 from zsys.analysis import (
     CapExceeded,
-    _coded_choices,
     _free_reps,
     _orbit_rows,
     _propagate,
-    derived_subgroup,
+    _word_choices,
     extendable,
-    generate,
     lemma_checks,
     lower_central_series,
     lower_cutoff,
@@ -45,8 +44,8 @@ def standard(p, lo, hi):
 
 
 def whole_group(wg, cap=None):
-    """The window group itself, enumerated by `generate` from its generators."""
-    return generate(wg, [wg.gen_vec(i) for i in wg.indices()], cap)
+    """The window group itself, enumerated by `closure` from its generators."""
+    return closure(wg, [wg.gen_vec(i) for i in wg.indices()], cap)
 
 
 # -- subgroup calculus ---------------------------------------------------------
@@ -54,40 +53,42 @@ def whole_group(wg, cap=None):
 
 def test_generate_span():
     wg = standard(3, 0, 3)
-    sub = generate(wg, [wg.gen_vec(0), wg.gen_vec(2)])
-    assert sub.order == 9
-    assert wg.gen_vec(1) not in sub
+    sub = closure(wg, [wg.gen_vec(0), wg.gen_vec(2)])
+    assert len(sub) == 9
+    assert wg.pack(wg.gen_vec(1)) not in sub
 
 
 def test_whole_group_order():
     wg = unitary(3, 0, 3)
-    assert whole_group(wg).order == 81
+    assert len(whole_group(wg)) == 81
 
 
 def test_subgroup_order_divides_group_order():
     wg = unitary(3, 0, 4)
     for gens in ([wg.gen_vec(0)], [wg.gen_vec(0), wg.gen_vec(2)], [wg.gen_vec(1), wg.gen_vec(4)]):
-        assert wg.order % generate(wg, gens).order == 0
+        assert wg.order % len(closure(wg, gens)) == 0
 
 
 def test_normal_closure_contains_generate():
     wg = unitary(3, 0, 4)
     seed = [wg.gen_vec(0)]
-    assert generate(wg, seed).elements <= normal_closure(wg, seed).elements
+    assert elements(closure(wg, seed)) <= elements(normal_closure(wg, seed))
 
 
 def test_commutator_subgroup_trivial_with_trivial():
     wg = unitary(3, 0, 3)
-    one = generate(wg, [])
-    assert commutator_subgroup(wg, one, whole_group(wg)).is_trivial()
+    one = closure(wg, [])
+    assert len(commutator_subgroup(wg, one, whole_group(wg))) == 1
 
 
 def test_derived_subgroup_two_routes_agree():
-    # normal closure of generator commutators vs the literal double loop
+    # X' as the normal closure of the table words and as the series term
+    # gamma_2 vs the literal double loop
     for builder, p, lo, hi in ((unitary, 3, 0, 4), (unitary, 5, 0, 2), (standard, 3, -2, 2)):
         wg = builder(p, lo, hi)
         whole = whole_group(wg)
-        assert derived_subgroup(wg) == commutator_subgroup(wg, whole, whole)
+        derived = normal_closure(wg, analysis._table_words(wg))
+        assert derived == lower_central_series(wg)[1] == commutator_subgroup(wg, whole, whole)
 
 
 def test_cap_exceeded_names_size():
@@ -101,16 +102,16 @@ def test_cap_exceeded_names_size():
 
 def test_derived_series_standard():
     series = derived_series(standard(3, -3, 3))
-    assert len(series) == 2 and series[1].is_trivial()
+    assert len(series) == 2 and len(series[1]) == 1
 
 
 def test_lower_central_series_unitary():
     series = lower_central_series(unitary(3, 0, 7))
     assert len(series) == 3
-    assert not series[1].is_trivial()
-    assert series[2].is_trivial()
+    assert len(series[1]) != 1
+    assert len(series[2]) == 1
     # X' is spanned by the interior odd generators
-    assert series[1].order == 27
+    assert len(series[1]) == 27
 
 
 def test_nilpotency_class_values():
@@ -280,9 +281,7 @@ def test_subgroup_entry_points_refuse_an_inconsistent_table():
     calls = [
         lambda: closure(wg, gens),
         lambda: closure(wg, []),
-        lambda: generate(wg, gens),
         lambda: normal_closure(wg, gens[:1]),
-        lambda: derived_subgroup(wg),
         lambda: lower_central_series(wg),
         lambda: nilpotency_class(wg),
         lambda: lemma_checks(wg),
@@ -317,14 +316,15 @@ def test_lemma_checks_deterministic():
 def test_shift_closure_trivial():
     wg = unitary(3, 0, 4)
     sub, info = shift_invariant_closure(wg, wg.identity_vec, wg.identity_vec)
-    assert sub.is_trivial()
+    assert len(sub) == info["order"] == 1 and info["generators"] == []
     assert not info["even_start_nonempty"] and not info["odd_start_nonempty"]
 
 
 def test_shift_closure_even_only():
     wg = standard(3, 0, 6)
     sub, info = shift_invariant_closure(wg, wg.gen_vec(0), wg.identity_vec)
-    assert sub.order == 81  # span of x_0, x_2, x_4, x_6
+    assert len(sub) == info["order"] == 81  # span of x_0, x_2, x_4, x_6
+    assert info["generators"] == [list(wg.gen_vec(i)) for i in (0, 2, 4, 6)]
     assert info["even_start_nonempty"] and not info["odd_start_nonempty"]
     assert all(s % 2 == 0 for s in info["start_indices"])
 
@@ -333,7 +333,7 @@ def test_shift_closure_both_parities():
     wg = unitary(3, 0, 6)
     sub, info = shift_invariant_closure(wg, wg.gen_vec(0), wg.gen_vec(1))
     assert info["even_start_nonempty"] and info["odd_start_nonempty"]
-    assert sub.order == 3**7  # all of the window group
+    assert len(sub) == info["order"] == 3**7  # all of the window group
 
 
 def test_two_generator_regeneration_and_its_window_limit():
@@ -345,7 +345,7 @@ def test_two_generator_regeneration_and_its_window_limit():
     wg = unitary(3, 0, 6)
 
     def regenerate(sub):
-        nonid = [v for v in sub.sorted_elements() if v != wg.identity_vec]
+        nonid = [v for v in sorted(elements(sub)) if v != wg.identity_vec]
         key = lambda v: (wg.stats_vec(v).width, v)
         even = [v for v in nonid if wg.stats_vec(v).start % 2 == 0]
         odd = [v for v in nonid if wg.stats_vec(v).start % 2 == 1]
@@ -361,9 +361,9 @@ def test_two_generator_regeneration_and_its_window_limit():
     edge, _ = shift_invariant_closure(
         wg, wg.mul_vec(wg.gen_vec(0), wg.gen_vec(1)), wg.identity_vec
     )
-    assert edge.order == 243
+    assert len(edge) == 243
     regen = regenerate(edge)
-    assert edge.elements < regen.elements and regen.order == 2187
+    assert elements(edge) < elements(regen) and len(regen) == 2187
 
 
 def test_shift_closure_interior_seed():
@@ -371,7 +371,7 @@ def test_shift_closure_interior_seed():
     a = wg.mul_vec(wg.gen_vec(1), wg.gen_vec(3))  # support {1, 3}
     sub, info = shift_invariant_closure(wg, a, wg.identity_vec)
     # translates: x_1 x_3 and x_3 x_5
-    assert sub.order == 25
+    assert len(sub) == info["order"] == 25
     assert info["start_indices"] == [1, 3]
 
 
@@ -503,11 +503,10 @@ def walked_widenings(wg: WindowGroup, support_bound: int) -> list:
     lo, hi = wg.lo - 1, wg.hi + 1
     walk, leaves = analysis._walk, []
 
-    def recording(memo, p, levels, slots, choice_lists, rows, idx=0):
+    def recording(memo, p, levels, slots, choice_lists, words, idx=0):
         if idx:
-            return walk(memo, p, levels, slots, choice_lists, rows, idx)
-        words = rows[1]
-        for _ in walk(memo, p, levels, slots, choice_lists, rows):
+            return walk(memo, p, levels, slots, choice_lists, words, idx)
+        for _ in walk(memo, p, levels, slots, choice_lists, words):
             rep_words = {
                 (i, j): {i + k: e for k, e in words[i - lo][j - i]} for i, j in _free_reps(lo, hi)
             }
@@ -681,7 +680,7 @@ def certified_forever(wg: WindowGroup) -> bool:
     forever."""
     reach = max((j - i for i, j in wg.comm), default=0)
     slots = [(s, d) for s in (0, 1) for d in range(2, reach + 1)]
-    words = _orbit_rows(wg)[1]
+    words = _orbit_rows(wg)
     hi = wg.lo + 2 * reach + 1
     wider = WindowGroup(wg.p, wg.lo, hi, _propagate(wg.lo, hi, slots, words))
     return overlap_violation(wider) is None
@@ -696,29 +695,32 @@ def test_forever_certificates_agree_with_extendable():
     items = list(search_tables(3, 0, 4, 1, 2))
     assert (len(items), len(certified(items))) == (199, 17)
     assert all(item["extendable"] and item["class"] < 3 for item in certified(items))
-    # six widenings deep, where the undecided tables have died: the
-    # extendable set is the certified set
-    items = list(search_tables(2, 0, 5, 1, 6))
-    assert (len(items), len(certified(items))) == (115, 11)
-    assert certified(items) == [item for item in items if item["extendable"]]
+    # six widenings deep, where the undecided tables have died, and on the
+    # wider window [0, 6] two widenings deep: the extendable set is the
+    # certified set, and none of it has class 3
+    for args, counts in (((2, 0, 5, 1, 6), (115, 11)), ((2, 0, 6, 1, 2), (387, 29))):
+        items = list(search_tables(*args))
+        assert (len(items), len(certified(items))) == counts, args
+        assert certified(items) == [item for item in items if item["extendable"]], args
+        assert all(item["class"] < 3 for item in certified(items)), args
 
 
 def test_word_choices_match_filter_definition():
     # the direct construction against the definition it replaced: every
     # exponent tuple over the interior offsets, in product order, kept when
     # at most support_bound entries are nonzero; collection reads the
-    # letters ascending, and the memo branches on the codes, so no two
-    # words of a pair share one
+    # letters ascending, and the memo branches on the letters, so no two
+    # words of a pair share them
     for p in (2, 3, 5):
         for d in range(1, 9):
             for support_bound in range(4):
-                choices = _coded_choices(p, d, support_bound)
+                choices = _word_choices(p, d, support_bound)
                 assert isinstance(choices, tuple)
                 expected = interior_words(p, 0, d, support_bound)
-                assert [dict(letters) for _, letters in choices] == expected, (p, d, support_bound)
-                assert len({code for code, _ in choices}) == len(choices)
-                assert all(letters == tuple(sorted(letters)) for _, letters in choices)
-                assert _coded_choices(p, d, support_bound) is choices
+                assert [dict(letters) for letters in choices] == expected, (p, d, support_bound)
+                assert len(set(choices)) == len(choices)
+                assert all(letters == tuple(sorted(letters)) for letters in choices)
+                assert _word_choices(p, d, support_bound) is choices
 
 
 def test_shared_extension_memo_matches_fresh_calls():
@@ -787,8 +789,8 @@ def consistent(wg: WindowGroup, memo: analysis.OverlapMemo) -> bool:
     the collector's ValueError."""
     if wg.zs5_ok() is not None:
         raise ValueError(zsystem.NOT_INTERIOR)
-    codes, words = _orbit_rows(wg)
-    return analysis._checks_pass(memo, wg.p, analysis._window_plan(wg.lo, wg.hi), codes, words)
+    words = _orbit_rows(wg)
+    return analysis._checks_pass(memo, wg.p, analysis._window_plan(wg.lo, wg.hi), words)
 
 
 def test_overlap_memo_matches_plain_test():

@@ -249,7 +249,7 @@ def test_payload_determinism_excluding_timings(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
+def test_usage_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "class", "--example", "unitary", "--p", "3")
     assert code == 2 and "window" in err
     code, _, err = run_cli(capsys, "class", "--p", "3", "--window", "0", "2")
@@ -278,17 +278,11 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
-    # a cap from the environment that is not an integer names the variable
-    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "many")
-    code, out, err = run_cli(capsys, "lemmas", *source)
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "ZSYS_CLOSURE_CAP" in err
 
 
-def test_cap_only_where_a_closure_is_formed(capsys, monkeypatch):
+def test_cap_only_where_a_closure_is_formed(capsys):
     # derive, nf, comm, cutoff, class and search form no closure: --cap is
-    # not an option of theirs, and a malformed ZSYS_CLOSURE_CAP does not stop
-    # them
+    # not an option of theirs
     source = ["--example", "unitary", "--p", "3", "--window", "0", "2"]
     search = ["search", "--p", "2", "--window", "0", "3"]
     for argv in (
@@ -304,21 +298,6 @@ def test_cap_only_where_a_closure_is_formed(capsys, monkeypatch):
                 main([*argv, "--cap", cap])
             assert exc.value.code == 2, argv
             assert f"unrecognized arguments: --cap {cap}" in capsys.readouterr().err
-    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "abc")
-    for argv in (
-        ["rgd", "--example", "standard", "--p", "3", "--K", "1"],
-        ["derive", *source],
-        ["cutoff", *source, "--bound", "2"],
-        ["class", *source],
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        assert json.loads(out)
-    code, out, err = run_cli(capsys, *search)
-    assert (code, err) == (0, "") and len(out.splitlines()) == 7
-    # a command that forms a closure still reads the variable
-    code, out, err = run_cli(capsys, "lemmas", *source)
-    assert (code, out) == (2, "") and "ZSYS_CLOSURE_CAP" in err
 
 
 def test_malformed_table_exit_2(tmp_path, capsys):
@@ -618,18 +597,6 @@ def test_rgd_past_its_budget_exits_2_before_building(capsys):
 def test_unitary_p2_rejected(capsys):
     code, _, err = run_cli(capsys, "derive", "--example", "unitary", "--p", "2", "--window", "0", "2")
     assert code == 2 and "char" in err
-
-
-def test_cap_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "2")
-    code, _, err = run_cli(capsys, "lemmas", "--example", "unitary", "--p", "3", "--window", "0", "5")
-    assert code == 2 and "resource" in err
-    # explicit flag overrides the environment
-    monkeypatch.setenv("ZSYS_CLOSURE_CAP", "2")
-    code, out, _ = run_cli(
-        capsys, "lemmas", "--example", "unitary", "--p", "3", "--window", "0", "5", "--cap", "100000"
-    )
-    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_search_depth_flag_monotone(capsys):

@@ -22,8 +22,9 @@ generic fold of a window that `reading` makes from the same crossing words.
 The window generators in index order need no `right_mul` at all.
 
 `closure` returns its elements packed (`WindowGroup.pack`: bytes when
-p <= 256, tuples above), and `right_mul` maps packed elements to packed
-ones; the oracles give tuples, so results are compared as tuples, at both
+p <= 256, tuples above), and that set is the subgroup wherever `analysis`
+forms one; `right_mul` maps packed elements to packed ones.  The oracles
+give tuples, so results are compared as tuples (`elements`), at both
 packings.
 """
 
@@ -35,8 +36,6 @@ from hypothesis import strategies as st
 from test_collect_oracle import central_tables, interior_tables
 
 from zsys.analysis import (
-    derived_subgroup,
-    generate,
     lemma_checks,
     lower_central_series,
     nilpotency_class,
@@ -55,9 +54,15 @@ from zsys.zsystem import (
 )
 
 
+def elements(packed) -> set:
+    """A packed subgroup, as `closure` returns it, as a set of exponent
+    tuples."""
+    return {tuple(v) for v in packed}
+
+
 def closure_tuples(wg, seed_vecs, cap=None) -> set:
     """`closure` with its packed elements read back as exponent tuples."""
-    return set(map(tuple, closure(wg, seed_vecs, cap)))
+    return elements(closure(wg, seed_vecs, cap))
 
 
 def bfs_closure(wg, seed_vecs, cap=None) -> set:
@@ -131,9 +136,7 @@ def test_subgroup_entry_points_refuse_exactly_the_inconsistent_tables(wg, data):
     cap = 729
     entry_points = [
         lambda: closure(wg, seeds, cap),
-        lambda: generate(wg, seeds, cap),
         lambda: normal_closure(wg, seeds, cap),
-        lambda: derived_subgroup(wg, cap),
         lambda: lower_central_series(wg, cap),
         lambda: nilpotency_class(wg),
         lambda: lemma_checks(wg, cap, trials=3),
@@ -301,16 +304,17 @@ def test_packed_closure_matches_bfs(tag, p, hi):
 def test_subgroup_reads_its_packed_set(p, indices):
     # at p = 5 the whole window, of class 2; at p = 257, where elements are
     # packed as tuples, the abelian <x_1, x_2> of 257^2 elements
+    # the packed set reads order by len, membership of a packed vector,
+    # subgroups by < and sorts as the exponent tuples do, which the lemma
+    # report's trials rest on
     wg = derive_window(make_example("unitary", p), 0, 2)
+    pack = wg.pack
     gens = [wg.gen_vec(i) for i in indices]
-    sub = generate(wg, gens)
-    assert sub.order == (p**3 if indices == (0, 2) else p**2)
-    assert sub.sorted_elements() == sorted(sub.elements) == sorted(map(tuple, sub.packed))
-    assert all(v in sub and list(v) in sub for v in sub.elements)
-    assert sub == generate(wg, gens[::-1])
-    # an entry outside 0..p-1 is not a member, whether or not a byte holds it
-    for vec in [(-1, 0, 0), (0, p, 0), (0, 0, p + 1), (0, 300, 0), (0, 0, -p)]:
-        assert vec not in sub
-    line = generate(wg, [wg.gen_vec(1)])
-    assert line.packed < sub.packed and line.elements < sub.elements
-    assert (0, 1, 0) in line and (1, 0, 0) not in line
+    sub = closure(wg, gens)
+    assert len(sub) == (p**3 if indices == (0, 2) else p**2)
+    assert [tuple(v) for v in sorted(sub)] == sorted(elements(sub))
+    assert all(pack(v) in sub and pack(list(v)) in sub for v in elements(sub))
+    assert sub == closure(wg, gens[::-1])
+    line = closure(wg, [wg.gen_vec(1)])
+    assert line < sub and elements(line) < elements(sub)
+    assert pack((0, 1, 0)) in line and pack((1, 0, 0)) not in line

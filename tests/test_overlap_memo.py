@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from zsys import analysis, zsystem
 from zsys.analysis import (
     OverlapMemo,
-    _coded_choices,
     _free_reps,
     _orbit_rows,
+    _word_choices,
     extendable,
     search_tables,
 )
@@ -35,7 +35,7 @@ def shift_invariant_windows(p, lo, hi, support_bound):
     """Every shift-invariant interior table on [lo, hi], in search order."""
     reps = _free_reps(lo, hi)
     choice_lists = [
-        [{i + k: e for k, e in letters} for _, letters in _coded_choices(p, j - i, support_bound)]
+        [{i + k: e for k, e in letters} for letters in _word_choices(p, j - i, support_bound)]
         for i, j in reps
     ]
     for assignment in itertools.product(*choice_lists):
@@ -65,10 +65,10 @@ def table_families(draw, widths):
     return tables
 
 
-def memo_fails(memo, wg, codes, words, planned) -> bool:
+def memo_fails(memo, wg, words, planned) -> bool:
     """The memo's verdict on one planned (parity, shape) check: whether it
-    fails on the table with these orbit codes and words."""
-    return not analysis._checks_pass(memo, wg.p, (planned,), codes, words)
+    fails on the table with these orbit words."""
+    return not analysis._checks_pass(memo, wg.p, (planned,), words)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -78,11 +78,11 @@ def test_tree_memo_matches_overlap_test_check_by_check(tables):
     # the second pass walks the trees that the first one grew
     memo = OverlapMemo()
     for wg in tables + tables[::-1]:
-        codes, words = _orbit_rows(wg)
+        words = _orbit_rows(wg)
         for check in overlap_checks(wg.lo, wg.hi):
             (planned,) = analysis._plan(wg.lo, [check])
             expected = overlap_violation(wg, [check]) is not None
-            assert memo_fails(memo, wg, codes, words, planned) == expected, (check, wg.comm)
+            assert memo_fails(memo, wg, words, planned) == expected, (check, wg.comm)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -97,33 +97,34 @@ def test_tree_memo_matches_overlap_test_on_extension_nodes(tables, data):
     for wg in tables + tables[::-1]:
         slots, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
         level = data.draw(st.integers(0, len(slots)))
-        codes, words = _orbit_rows(wg)
+        words = _orbit_rows(wg)
         for s, d in slots[level:]:
-            codes[s][d], words[s][d] = "", None
+            words[s][d] = None
         for s, shape in levels[level]:
             check = tuple(wg.lo + s + k for k in shape)
             assert check[0] <= wg.hi
             expected = overlap_violation(wg, [check]) is not None
-            assert memo_fails(memo, wg, codes, words, (s, shape)) == expected, (check, wg.comm)
+            assert memo_fails(memo, wg, words, (s, shape)) == expected, (check, wg.comm)
         expected = all(
             overlap_violation(wg, [tuple(wg.lo + s + k for k in shape)]) is None
             for s, shape in levels[level]
         )
-        assert analysis._checks_pass(memo, wg.p, levels[level], codes, words) == expected
+        assert analysis._checks_pass(memo, wg.p, levels[level], words) == expected
 
 
 def test_tree_memo_grows_on_reads():
     # a check on x_2 x_1 x_0 reads the word of the pair (0, 2) only, so its
-    # tree has one node with a branch per word met, and a table that agrees
-    # on that word is decided without a run
+    # tree has one node with a branch per word met, keyed by its letters,
+    # and a table that agrees on that word is decided without a run
     memo = OverlapMemo()
     wg = WindowGroup(3, 0, 2, {(0, 2): {1: 1}})
-    codes, words = _orbit_rows(wg)
-    assert not memo_fails(memo, wg, codes, words, (0, (2, 1, 0)))
-    assert memo.trees == {3: {(2, 1, 0): (0, 2, {codes[0][2]: False})}}
+    words = _orbit_rows(wg)
+    assert words[0][2] == ((1, 1),)
+    assert not memo_fails(memo, wg, words, (0, (2, 1, 0)))
+    assert memo.trees == {3: {(2, 1, 0): (0, 2, {((1, 1),): False})}}
     wider = WindowGroup(3, 0, 4, {(0, 2): {1: 1}, (2, 4): {3: 1}, (1, 3): {2: 2}})
-    codes, words = _orbit_rows(wider)
-    assert not memo_fails(memo, wider, codes, words, (0, (2, 1, 0)))
+    words = _orbit_rows(wider)
+    assert not memo_fails(memo, wider, words, (0, (2, 1, 0)))
     assert len(memo) == 1
 
 
@@ -179,18 +180,18 @@ def test_a_memo_leaf_that_fails_answers_before_any_run(monkeypatch):
     for hi in (3, 4):
         plan = analysis._window_plan(0, hi)
         for wg in shift_invariant_windows(3, 0, hi, 1):
-            codes, words = _orbit_rows(wg)
+            words = _orbit_rows(wg)
             # a memo that holds the tree of one failing check only, of
             # another shape than the first check's
             for planned in plan[1:]:
                 memo = OverlapMemo()
-                if planned[1] != plan[0][1] and memo_fails(memo, wg, codes, words, planned):
+                if planned[1] != plan[0][1] and memo_fails(memo, wg, words, planned):
                     break
             else:
                 continue
             with monkeypatch.context() as mp:
                 mp.setattr(zsystem, "overlap_violation", lambda *args: pytest.fail("a check ran"))
-                assert not analysis._checks_pass(memo, 3, plan, codes, words)
+                assert not analysis._checks_pass(memo, 3, plan, words)
             assert memo.leaves == 1
             found += 1
     assert found

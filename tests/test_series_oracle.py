@@ -12,14 +12,18 @@ generators, gamma_(k+1) from every element of gamma_k, and a normal closure
 from every conjugate of its seeds over the enumerated group.
 `commutator_subgroup` and `derived_series` are the brute-force
 definitions, over whole element sets.  `oracle_lemma_checks` is the lemma
-report built without sharing the series: it forms [Y, X], [Y, X, X] and the
-image of each series term by normal closures of their own.  All of them
-presume a consistent table, so the tables drawn here are: the search tables at p = 2 and p = 3
-(class 1 to 3, central and not), and random central tables, which all pass the
-overlap test.  The class and the search are also run with every closure made
-to raise, and the commutator of the generic fold, which the rounds form, is
-checked on the class-3 search tables and on random strictly interior tables,
-consistent or not.
+report built without sharing the series: it forms Y = X' and [Y, X, X] by
+normal closures of their own, from the table words, which generate Y as a
+normal subgroup, and from their iterated commutators with the window
+generators, and the image of each series term from the commutators of all
+its elements.  All of them presume a consistent table, so the tables drawn
+here are: the search tables at p = 2 and p = 3 (class 1 to 3, central and
+not), and random central tables, which all pass the overlap test.  The
+class and the search are also run with every closure made to raise, and the
+commutator of the generic fold, which the rounds form, is checked on the
+class-3 search tables and on random strictly interior tables, consistent or
+not.  Every subgroup is the packed set that `closure` returns, compared as
+exponent tuples (`elements`).
 """
 
 import hashlib
@@ -33,6 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_closure_oracle import (
     bfs_closure,
+    elements,
     non_central_windows,
     outcome,
     searched_windows,
@@ -42,9 +47,6 @@ from test_collect_oracle import central_tables, interior_tables, letters_of, ora
 
 from zsys import analysis, zsystem
 from zsys.analysis import (
-    Subgroup,
-    derived_subgroup,
-    generate,
     lemma_checks,
     lower_central_series,
     lower_cutoff,
@@ -55,13 +57,17 @@ from zsys.analysis import (
 from zsys.zsystem import CapExceeded, WindowGroup, closure, overlap_violation
 
 
-def commutator_normal_closure(wg, a_vecs, b_vecs, cap=None) -> Subgroup:
+def commutator_seeds(wg, a_vecs, b_vecs) -> list:
+    """Every nontrivial commutator [a, b], a and b from the lists, sorted."""
+    return sorted({wg.comm_vec(x, y) for x in a_vecs for y in b_vecs} - {wg.identity_vec})
+
+
+def commutator_normal_closure(wg, a_vecs, b_vecs, cap=None) -> set:
     """The normal closure of every commutator [a, b], a and b from the lists."""
-    comms = {wg.comm_vec(x, y) for x in a_vecs for y in b_vecs} - {wg.identity_vec}
-    return normal_closure(wg, sorted(comms), cap)
+    return normal_closure(wg, commutator_seeds(wg, a_vecs, b_vecs), cap)
 
 
-def oracle_derived_subgroup(wg, cap=None) -> Subgroup:
+def oracle_derived_subgroup(wg, cap=None) -> set:
     """X' from the commutators of every ordered pair of window generators."""
     gens = [wg.gen_vec(i) for i in wg.indices()]
     return commutator_normal_closure(wg, gens, gens, cap)
@@ -76,11 +82,11 @@ def oracle_lower_central_series(wg, cap=None) -> list:
     current = oracle_derived_subgroup(wg, cap)
     series.append(current)
     steps = 0
-    while not current.is_trivial():
+    while len(current) > 1:
         steps += 1
         if steps > wg.width + 1:
             raise RuntimeError("lower central series does not descend; table is inconsistent")
-        current = commutator_normal_closure(wg, current.sorted_elements(), window_gens, cap)
+        current = commutator_normal_closure(wg, sorted(elements(current)), window_gens, cap)
         series.append(current)
     return series
 
@@ -89,27 +95,25 @@ def oracle_class(wg, cap=None) -> int:
     return len(oracle_lower_central_series(wg, cap)) - 1
 
 
-def commutator_subgroup(wg, a: Subgroup, b: Subgroup, cap=None) -> Subgroup:
+def commutator_subgroup(wg, a: set, b: set, cap=None) -> set:
     """Brute-force [A, B]: all commutators over the two element sets, closed."""
-    comms = {wg.comm_vec(x, y) for x in a.elements for y in b.elements} - {wg.identity_vec}
-    return generate(wg, sorted(comms), cap)
+    return closure(wg, commutator_seeds(wg, elements(a), elements(b)), cap)
 
 
 def derived_series(wg, cap=None) -> list:
-    """[None, X', X'', ...] down to the trivial term, each term generated by
-    the commutators of every pair of elements of the previous one."""
+    """[None, X', X'', ...] down to the trivial term, X' the term gamma_2 of
+    the lower central series and each later term generated by the
+    commutators of every pair of elements of the previous one."""
     series = [None]
-    current = derived_subgroup(wg, cap)
+    current = lower_central_series(wg, cap)[1]
     series.append(current)
     steps = 0
-    while not current.is_trivial():
+    while len(current) > 1:
         steps += 1
         if steps > wg.width + 1:
             raise RuntimeError("derived series does not descend; table is inconsistent")
-        gens = current.sorted_elements()
-        comms = {wg.comm_vec(x, y) for x in gens for y in gens} - {wg.identity_vec}
-        nxt = Subgroup(wg, sorted(comms), closure(wg, sorted(comms), cap))
-        if not nxt.elements < current.elements and not nxt.is_trivial():
+        nxt = commutator_subgroup(wg, current, current, cap)
+        if not nxt < current and len(nxt) > 1:
             raise RuntimeError("derived series does not descend; table is inconsistent")
         current = nxt
         series.append(current)
@@ -118,8 +122,8 @@ def derived_series(wg, cap=None) -> list:
 
 def oracle_lemma_checks(wg, cap=None, trials: int = 50, seed: int = 0) -> dict:
     """The lemma report with each subgroup formed by a normal closure of its
-    own: X', [X', X] and [X', X, X] for bilinearity, then the series and, for
-    each term, its image under commutation with the window generators."""
+    own: X' and [X', X, X] for bilinearity, then the series and, for each
+    term, its image under commutation with the window generators."""
     rng = random.Random(seed)
     checks = {}
 
@@ -144,19 +148,22 @@ def oracle_lemma_checks(wg, cap=None, trials: int = 50, seed: int = 0) -> dict:
 
     window_gens = [wg.gen_vec(i) for i in wg.indices()]
     try:
-        derived = derived_subgroup(wg, cap)
-        yx = commutator_normal_closure(wg, derived.generators, window_gens, cap)
-        yxx = commutator_normal_closure(wg, yx.generators, window_gens, cap)
+        # Y = X' is the normal closure of the table words, so [Y, X] is that
+        # of their commutators with the window generators, and so on
+        words = analysis._table_words(wg)
+        derived = normal_closure(wg, words, cap)
+        yx_seeds = commutator_seeds(wg, words, window_gens)
+        yxx = commutator_normal_closure(wg, yx_seeds, window_gens, cap)
         ok = True
         witness = None
-        dsorted = derived.sorted_elements()
+        dsorted = sorted(elements(derived))
         for _ in range(trials):
             y = dsorted[rng.randrange(len(dsorted))]
             y2 = dsorted[rng.randrange(len(dsorted))]
             x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
             lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
             base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
-            if wg.mul_vec(wg.inv_vec(base), lhs) not in yxx.elements:
+            if wg.mul_vec(wg.inv_vec(base), lhs) not in elements(yxx):
                 ok = False
                 witness = {"y": list(y), "y2": list(y2), "x": list(x)}
                 break
@@ -174,16 +181,16 @@ def oracle_lemma_checks(wg, cap=None, trials: int = 50, seed: int = 0) -> dict:
         ok = True
         witness = None
         for term in series[1:]:
-            if term.is_trivial():
+            if len(term) == 1:
                 continue
-            image = commutator_normal_closure(wg, term.generators, window_gens, cap)
-            if not (image.elements < term.elements):
+            image = commutator_normal_closure(wg, sorted(elements(term)), window_gens, cap)
+            if not elements(image) < elements(term):
                 ok = False
-                witness = {"term_order": term.order, "image_order": image.order}
+                witness = {"term_order": len(term), "image_order": len(image)}
                 break
-        if ok and not derived.is_trivial() and derived.order >= wg.order:
+        if ok and len(derived) > 1 and len(derived) >= wg.order:
             ok = False
-            witness = {"term_order": wg.order, "image_order": derived.order}
+            witness = {"term_order": wg.order, "image_order": len(derived)}
         checks["commutator_image_proper"] = {"pass": ok}
         if witness:
             checks["commutator_image_proper"]["witness"] = witness
@@ -221,11 +228,11 @@ def same_report(report, expected):
 
 
 def check_series(wg):
-    derived = derived_subgroup(wg)
-    assert derived.elements == oracle_derived_subgroup(wg).elements, wg.comm
+    derived = normal_closure(wg, analysis._table_words(wg))
+    assert elements(derived) == elements(oracle_derived_subgroup(wg)), wg.comm
     series = lower_central_series(wg)
     expected = oracle_lower_central_series(wg)
-    assert [t.elements for t in series[1:]] == [t.elements for t in expected[1:]], wg.comm
+    assert [elements(t) for t in series[1:]] == [elements(t) for t in expected[1:]], wg.comm
     assert nilpotency_class(wg) == len(expected) - 1
 
 
@@ -252,8 +259,8 @@ def test_series_match_oracle_on_central_tables(data):
     # the same subgroups are formed, so a cap is exceeded by both or neither,
     # with the same message
     cap = data.draw(st.integers(1, wg.order))
-    assert outcome(lambda: derived_subgroup(wg, cap).elements) == outcome(
-        lambda: oracle_derived_subgroup(wg, cap).elements
+    assert outcome(lambda: elements(normal_closure(wg, analysis._table_words(wg), cap))) == outcome(
+        lambda: elements(oracle_derived_subgroup(wg, cap))
     )
 
 
@@ -360,7 +367,7 @@ def test_normal_closure_matches_conjugate_oracle(data):
     if words:
         seed |= st.sampled_from(words)
     seeds = data.draw(st.lists(seed, max_size=3))
-    assert normal_closure(wg, seeds).elements == conjugate_closure(wg, seeds), (wg.comm, seeds)
+    assert elements(normal_closure(wg, seeds)) == conjugate_closure(wg, seeds), (wg.comm, seeds)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -420,8 +427,8 @@ def check_commutators_formed_once(wg):
     assert calls == expected, wg.comm
     noncommuting = sum(n for (a, b), n in calls.items() if wg.mul_vec(a, b) != wg.mul_vec(b, a))
     assert len(inverses) == (0 if wg._central else noncommuting), wg.comm
-    assert [t.elements for t in series[1:]] == [
-        t.elements for t in oracle_lower_central_series(wg)[1:]
+    assert [elements(t) for t in series[1:]] == [
+        elements(t) for t in oracle_lower_central_series(wg)[1:]
     ], wg.comm
 
 
@@ -441,13 +448,13 @@ def test_series_commutators_formed_once_on_central_tables(data):
 def test_cap_outcome_on_search_tables():
     # the series and its oracle form the same largest subgroup, X', so a
     # cap is exceeded by both or neither, with the same message
-    def elements(series_of, wg, cap):
-        return [term.elements for term in series_of(wg, cap)[1:]]
+    def terms(series_of, wg, cap):
+        return [elements(term) for term in series_of(wg, cap)[1:]]
 
     for wg in searched_windows()[::7]:
         for cap in (1, 2, 4, 9, 27):
-            got = outcome(elements, lower_central_series, wg, cap)
-            assert got == outcome(elements, oracle_lower_central_series, wg, cap), wg.comm
+            got = outcome(terms, lower_central_series, wg, cap)
+            assert got == outcome(terms, oracle_lower_central_series, wg, cap), wg.comm
 
 
 def test_lemma_checks_match_oracle_on_search_tables():
@@ -480,8 +487,8 @@ def quotient_bilinearity(wg, trials: int, seed: int):
     sides are equal, and the number of trials whose sides differ."""
     rng = random.Random(seed)
     series = lower_central_series(wg)
-    derived = series[1].sorted_elements()
-    gamma4 = series[min(3, len(series) - 1)].elements
+    derived = sorted(elements(series[1]))
+    gamma4 = elements(series[min(3, len(series) - 1)])
     witness, unequal = None, 0
     for _ in range(trials):
         y = derived[rng.randrange(len(derived))]
