@@ -21,16 +21,19 @@ backtracking routine, `_walk`, sets the rows' slots level by level.  The
 search walks its window's orbit representatives with no check on the way
 and builds each leaf into its window (`_propagate`) to decide it; a
 certificate widens the table's rows and walks the new representatives with
-the overlaps that reach the new boundary, so it builds no window.  Both
-decide consistency with the complete overlap test
-`zsystem.overlap_violation` only.  A check with lowest index i reads a
-shift-invariant table only through orbit words, each in a slot (parity
-relative to i, distance), and its outcome is fixed by p, its shape and
-the words that its collection looks up.  One `OverlapMemo` keeps the
-outcomes as a decision tree per (p, check shape) on those words.  At a
-miss the check runs once on the sub-window [0, n] read from the orbit
-words (`zsystem.WindowGroup.reading`), and the slots it reads become a
-path of the tree.  A table is first decided from the leaves the trees
+the overlaps that read them, so it builds no window.  A subtree of that
+walk that dies returns the new slots its checks read, and when they miss
+the slot its parent sets, the parent's other choices are skipped: they
+would die the same way (conflict-directed backjumping).  Both decide
+consistency with the complete overlap test `zsystem.overlap_violation`
+only.  A check with lowest index i reads a shift-invariant table only
+through orbit words, each in a slot (parity relative to i, distance), and
+its outcome is fixed by p, its shape and the words that its collection
+looks up.  One `OverlapMemo` keeps the outcomes as a decision tree per
+(p, check shape) on those words.  At a miss the check runs once on the
+sub-window [0, n] read from the orbit words
+(`zsystem.WindowGroup.reading`), and the slots it reads become a path of
+the tree.  A table is first decided from the leaves the trees
 already hold, so a check that fails there answers before any other check
 runs; only then do the undecided checks run, in plan order.  The memo
 serves a whole `search_tables` call, its candidates and every certificate
@@ -510,23 +513,46 @@ def _checks_pass(memo: OverlapMemo, p: int, plan, words) -> bool:
     return True
 
 
-def _walk(memo: OverlapMemo, p: int, levels, slots, choice_lists, words, idx: int = 0):
+def _walk(memo: OverlapMemo, p: int, levels, reads, slots, choice_lists, words, idx: int = 0):
     """The one backtracking routine: set the orbit slots slots[idx:] of the
     rows `words` to each of their choices of letters in turn, the last slot
     varying fastest, as `itertools.product` does, and yield at every leaf,
     while the rows hold its words.  A node at level idx, which has set the
     slots before idx, goes on only when `_checks_pass` passes its planned
-    checks levels[idx]; those read no slot set at idx or after."""
+    checks levels[idx]; those read no slot set at idx or after, only the
+    indices in reads[idx].
+
+    A subtree that yields no leaf returns its conflict set, the indices of
+    the slots whose letters doomed it; one that yields a leaf returns None.
+    A node that fails its checks returns reads[idx].  A node that sets slot
+    idx returns at once, skipping its remaining choices, the set of a child
+    that lacks idx; when every child fails with idx in its set, it returns
+    the union of their sets without idx.  A node under which a leaf was
+    yielded never skips, so every leaf is still met, in the same order.
+    This is sound because sibling nodes differ only in slot idx, and the
+    outcome of a check depends only on the words it reads (the memo's own
+    invariant): a subtree that died on slots other than idx dies under
+    every choice at idx."""
     if not _checks_pass(memo, p, levels[idx], words):
-        return
+        return reads[idx]
     if idx == len(slots):
         yield
-        return
+        return None
     s, d = slots[idx]
     row = words[s]
+    conflict = set()
     for letters in choice_lists[idx]:
         row[d] = letters
-        yield from _walk(memo, p, levels, slots, choice_lists, words, idx + 1)
+        dead = yield from _walk(memo, p, levels, reads, slots, choice_lists, words, idx + 1)
+        if dead is None:
+            conflict = None
+        elif conflict is not None:
+            if idx not in dead:
+                return dead
+            conflict |= dead
+    if conflict is not None:
+        conflict.discard(idx)
+    return conflict
 
 
 def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: int = 1):
@@ -538,12 +564,13 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
     argument is checked before the first table is yielded; an extend_depth
     below 1 would certify nothing and is refused.  The candidates are the
     leaves of `_walk` over the orbit representatives with no check at any
-    level, and each one is built into its WindowGroup from its orbit rows
-    (`_propagate`) before its consistency is decided through the overlap
-    memo (`_checks_pass` on every check of the window); a window that passes
-    keeps that outcome, no `overlap_witness`.  The call owns one memo for
-    its candidates and their certificates; the memo is a cache, so no
-    result depends on it.  The class is `nilpotency_class`, which forms no
+    level, so with empty read sets (no subtree dies), and each one is
+    built into its WindowGroup from its orbit rows (`_propagate`) before
+    its consistency is decided through the overlap memo (`_checks_pass`
+    on every check of the window); a window that passes keeps that
+    outcome, no `overlap_witness`.  The call owns one memo for its
+    candidates and their certificates; the memo is a cache, so no result
+    depends on it.  The class is `nilpotency_class`, which forms no
     subgroup, so the search forms none.
     """
     if extend_depth < 1:
@@ -559,7 +586,8 @@ def search_tables(p: int, lo: int, hi: int, support_bound: int, extend_depth: in
     plan = _window_plan(lo, hi)
     words = [[None] * (hi - lo + 1) for _ in range(2)]
     memo = OverlapMemo()
-    for _ in _walk(memo, p, ((),) * (len(slots) + 1), slots, choice_lists, words):
+    flat = ((),) * (len(slots) + 1)
+    for _ in _walk(memo, p, flat, (frozenset(),) * len(flat), slots, choice_lists, words):
         wg = WindowGroup(p, lo, hi, _propagate(lo, hi, slots, words))
         if not _checks_pass(memo, p, plan, words):
             continue
@@ -578,11 +606,26 @@ def extendable(wg: WindowGroup, support_bound: int, depth: int = 1, memo=None) -
     table is not shift-invariant (no shift-invariant widening restricts to
     it), it is not strictly interior (the collector's error, which the
     overlap test raises) or it is inconsistent (`refuse_inconsistent`: the
-    walk checks only the overlaps that reach a new boundary, so an
-    inconsistent table would pass).  Then its orbit rows are read once
+    walk checks only the overlaps that read a new slot, so an inconsistent
+    table would pass).  Then its orbit rows are read once
     (`_orbit_rows`), and the widenings are walked on rows alone (`_extends`):
     no window is built.  `memo` is an `OverlapMemo` to share; without one
-    the call owns its own."""
+    the call owns its own.
+
+    The answer False refutes; True only says that `depth` widenings exist.
+    A finite proof that a table extends forever rests on a locality lemma.
+    Let a shift-invariant table have every word past distance R empty, and
+    take an overlap check (k, j, i), i < j < k, of span k - i > 2R.  Then
+    k - j > R or j - i > R.  If k - j > R, x_k commutes with x_j, with x_i
+    and with every letter between them, so both sides collect to the normal
+    form of x_j x_i followed by x_k; if j - i > R the same holds with x_i
+    on the other side.  A power check (j, i) with j - i > R holds
+    trivially.  So every check that can fail has span at most 2R, and up to
+    a translation by 2 it lies in a window of width 2R + 2.  A table that,
+    with its words past R empty, passes the overlap test on such a window
+    is consistent on every window: it is the window of an infinite
+    shift-invariant consistent table, and extendable at every depth.  The
+    tests check the two certificates against each other."""
     if depth < 1:
         raise ValueError(f"extension depth must be at least 1, got {depth}")
     if support_bound < 0:
@@ -606,26 +649,36 @@ def _extends(memo: OverlapMemo, p: int, lo: int, hi: int, words, support_bound: 
     are relative to the start of a pair, so slot (s, d) on [lo, hi] is slot
     (1 - s, d) on [lo - 1, hi + 1]: the widened rows are the rows swapped
     and lengthened by two, and `_walk` fills the new representatives of
-    `_extension_plan` level by level.  A leaf restricts to the table and
-    passes every overlap that reaches the new boundary, so it is
-    consistent; while depth is above 1 it is widened in turn."""
+    `_extension_plan` level by level, skipping by its read sets the choices
+    that cannot matter.  A leaf restricts to the table and passes every
+    overlap that reads a new slot, so it is consistent; while depth is
+    above 1 it is widened in turn."""
     wide = [words[1] + [None, None], words[0] + [None, None]]
-    slots, levels = _extension_plan(lo, hi)
+    slots, levels, reads = _extension_plan(lo, hi)
     choice_lists = [_word_choices(p, d, support_bound) for _, d in slots]
     return any(
         depth == 1 or _extends(memo, p, lo - 1, hi + 1, wide, support_bound, depth - 1)
-        for _ in _walk(memo, p, levels, slots, choice_lists, wide)
+        for _ in _walk(memo, p, levels, reads, slots, choice_lists, wide)
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _extension_plan(lo: int, hi: int) -> tuple:
-    """What a widening of [lo, hi] to [lo - 1, hi + 1] fixes: the slots (s,
-    d) of the wider window, relative to lo - 1, of its orbit representatives
-    with no translate inside [lo, hi], in `_free_reps` order; and, per
-    backtracking level, the planned overlaps with a boundary index (interior
-    ones hold when the table on [lo, hi] is consistent), each at the first
-    level where every word it may collect through is fixed."""
+    """What a widening of [lo, hi] to [lo - 1, hi + 1] fixes: (slots,
+    levels, reads).  `slots` are the slots (s, d) of the wider window,
+    relative to lo - 1, of its orbit representatives with no translate
+    inside [lo, hi] (the new ones), in `_free_reps` order.  `levels[j]`
+    holds the planned overlaps of backtracking level j, and `reads[j]` the
+    indices of the new slots that they may read.  A check is kept exactly
+    when some translate of a new representative lies inside its span (it
+    touches that slot), and goes at the first level where every new slot
+    it touches is fixed; so `levels[0]` is empty.  A check that touches no
+    new slot spans hi - lo or less: at span hi - lo it starts at lo, since
+    the slot of the pairs (lo - 1, hi - 1) and (lo + 1, hi + 1) is new, so
+    it lies inside [lo, hi]; below that span, it or its translate by 2
+    does.  On the
+    shift-invariant widening it reads the same words as that check inside
+    [lo, hi], so it holds when the table on [lo, hi] is consistent."""
     lo2, hi2 = lo - 1, hi + 1
     # new: the first translate inside [lo, hi] (moved by 2 when it starts at lo2) ends past hi
     new_reps = [(i0, j0) for i0, j0 in _free_reps(lo2, hi2) if j0 + 2 * (i0 < lo) > hi]
@@ -636,12 +689,12 @@ def _extension_plan(lo: int, hi: int) -> tuple:
         return any(a <= i0 + s and j0 + s <= b for s in range(0, hi2 - j0 + 1, 2))
 
     levels = [[] for _ in range(len(new_reps) + 1)]
+    reads = [set() for _ in levels]
     for check in zsystem.overlap_checks(lo2, hi2):
-        if check[-1] == lo2 or check[0] == hi2:
-            last = max(
-                (idx for idx, rep in enumerate(new_reps) if touches(rep, check[-1], check[0])),
-                default=-1,
-            )
+        touched = {idx for idx, rep in enumerate(new_reps) if touches(rep, check[-1], check[0])}
+        if touched:
+            last = max(touched)
             levels[last + 1].append(check)
+            reads[last + 1] |= touched
     slots = tuple((i0 - lo2, j0 - i0) for i0, j0 in new_reps)
-    return slots, tuple(_plan(lo2, level) for level in levels)
+    return slots, tuple(_plan(lo2, level) for level in levels), tuple(map(frozenset, reads))

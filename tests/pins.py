@@ -15,8 +15,8 @@ command exits 0 and its stream has the stated line count, the stated
 prefix, and each stated substring count.  `axioms`, `lemmas` and `rgd` exit
 0 only when their report passes, so a row of theirs also pins the pass.
 
-Rows take about 35 s together; the three slowest are the search at support
-bound 2 (13 s), the depth-2 search at p=5 (7 s) and width 6 at depth 2 (7 s).
+Rows take about 31 s together; the three slowest are the search at support
+bound 2 (11 s), the depth-2 search at p=5 (7 s) and width 6 at depth 2 (6 s).
 A new pin is one more row.
 """
 

@@ -499,19 +499,27 @@ def walked_widenings(wg: WindowGroup, support_bound: int) -> list:
     `extendable(wg, support_bound, 1)` reaches, as the window of the orbit
     rows it holds at that leaf.  The walk is wrapped so that its root
     records each leaf and yields none, so the certificate answers False and
-    walks them all; the walk's calls of itself pass through."""
+    walks them all; the walk's calls of itself pass through, with the
+    conflict sets they return.  A subtree that yields a leaf never skips a
+    choice, so every leaf is recorded; and the root returns None exactly
+    when it met one."""
     lo, hi = wg.lo - 1, wg.hi + 1
     walk, leaves = analysis._walk, []
 
-    def recording(memo, p, levels, slots, choice_lists, words, idx=0):
+    def recording(memo, p, levels, reads, slots, choice_lists, words, idx=0):
+        walked = walk(memo, p, levels, reads, slots, choice_lists, words, idx)
         if idx:
-            return walk(memo, p, levels, slots, choice_lists, words, idx)
-        for _ in walk(memo, p, levels, slots, choice_lists, words):
+            return walked
+        while True:
+            try:
+                next(walked)
+            except StopIteration as stop:
+                assert (stop.value is None) == bool(leaves)
+                return iter(())
             rep_words = {
                 (i, j): {i + k: e for k, e in words[i - lo][j - i]} for i, j in _free_reps(lo, hi)
             }
             leaves.append(spread(wg.p, lo, hi, rep_words))
-        return iter(())
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_walk", recording)
@@ -548,8 +556,8 @@ def test_extensions_of_a_table_that_is_not_shift_invariant():
 
 
 def test_extendable_refuses_an_inconsistent_table():
-    # the walk runs only the overlaps that reach a new boundary, so a table
-    # that fails inside would pass it: every widening of this one walks past
+    # the walk runs only the overlaps that read a new slot, so a table that
+    # fails inside would pass it: every widening of this one walks past
     # its failing power check on x_4 x_0
     wg = WindowGroup(2, 0, 4, {(0, 2): {1: 1}, (0, 4): {2: 1}, (2, 4): {3: 1}})
     assert overlap_violation(wg)["kind"] == "power_left"
@@ -598,7 +606,7 @@ def test_overlap_decision_matches_exhaustive_oracle():
 
 @pytest.mark.parametrize("p, hi", [(2, 2), (2, 3), (3, 2)])
 def test_consistent_extensions_match_brute_force(p, hi):
-    # the levelled boundary checks against a full overlap test of every
+    # the levelled, backjumping walk against a full overlap test of every
     # shift-invariant widening whose restriction to [0, hi] is the table
     tables = [WindowGroup.from_json_dict(item["table"]) for item in search_tables(p, 0, hi, 1)]
     assert tables
@@ -695,10 +703,17 @@ def test_forever_certificates_agree_with_extendable():
     items = list(search_tables(3, 0, 4, 1, 2))
     assert (len(items), len(certified(items))) == (199, 17)
     assert all(item["extendable"] and item["class"] < 3 for item in certified(items))
-    # six widenings deep, where the undecided tables have died, and on the
-    # wider window [0, 6] two widenings deep: the extendable set is the
-    # certified set, and none of it has class 3
-    for args, counts in (((2, 0, 5, 1, 6), (115, 11)), ((2, 0, 6, 1, 2), (387, 29))):
+    # six widenings deep, where the undecided tables have died, on the wider
+    # window [0, 6] two widenings deep, and at p=5, whose units are not their
+    # own inverses, two widenings deep: the extendable set is the certified
+    # set, and none of it has class 3.  A certificate that skipped a choice
+    # it should have walked would answer False on a table certified forever
+    cases = (
+        ((2, 0, 5, 1, 6), (115, 11)),
+        ((2, 0, 6, 1, 2), (387, 29)),
+        ((5, 0, 4, 1, 2), (1269, 49)),
+    )
+    for args, counts in cases:
         items = list(search_tables(*args))
         assert (len(items), len(certified(items))) == counts, args
         assert certified(items) == [item for item in items if item["extendable"]], args

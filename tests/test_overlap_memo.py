@@ -85,21 +85,38 @@ def test_tree_memo_matches_overlap_test_check_by_check(tables):
             assert memo_fails(memo, wg, words, planned) == expected, (check, wg.comm)
 
 
+def touched_slots(lo, check, slots) -> set:
+    """The indices of the slots, relative to lo, of the pairs at distance 2
+    or more inside the span of the check."""
+    i, k = check[-1], check[0]
+    pairs = ((a, b) for a in range(i, k + 1) for b in range(a + 2, k + 1))
+    return {slots.index(slot) for a, b in pairs if (slot := ((a - lo) & 1, b - a)) in slots}
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(tables=table_families(st.integers(5, 7)), data=st.data())
 def test_tree_memo_matches_overlap_test_on_extension_nodes(tables, data):
     # each table is a widening of its restriction to [lo + 1, hi - 1]; a node
-    # at a level has assigned the new representatives before that level only,
-    # and the others must not be read.  Each planned check of the level is
+    # at a level reads only the new representatives of its read set, and
+    # every other one is blanked, so a check that reads outside its set
+    # raises or disagrees.  Each planned check of the level touches a new
+    # representative, the last of them set just before the level, and is
     # decided by the memo as the overlap test decides its translate that
     # starts at lo + s.
     memo = OverlapMemo()
     for wg in tables + tables[::-1]:
-        slots, levels = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
+        slots, levels, reads = analysis._extension_plan(wg.lo + 1, wg.hi - 1)
+        assert levels[0] == () and len(levels) == len(reads) == len(slots) + 1
+        for level, plan in enumerate(levels):
+            checks = [tuple(wg.lo + s + k for k in shape) for s, shape in plan]
+            touched = [touched_slots(wg.lo, check, slots) for check in checks]
+            assert all(max(t, default=-1) == level - 1 for t in touched), (level, checks)
+            assert reads[level] == set().union(*touched), level
         level = data.draw(st.integers(0, len(slots)))
         words = _orbit_rows(wg)
-        for s, d in slots[level:]:
-            words[s][d] = None
+        for idx, (s, d) in enumerate(slots):
+            if idx not in reads[level]:
+                words[s][d] = None
         for s, shape in levels[level]:
             check = tuple(wg.lo + s + k for k in shape)
             assert check[0] <= wg.hi
