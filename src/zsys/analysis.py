@@ -212,10 +212,23 @@ def shift_invariant_closure(wg: WindowGroup, a_vec, b_vec, cap=None):
 # bilinearity trials past which lemma_checks refuses to run: a trial forms
 # three commutators and two products, and a quotient of its two sides only
 # when they differ, which needs class 5 or more.  10^5 trials take about
-# 1.2 s on the unitary p=5 [0, 7] window, a central one, where the
+# 0.8 s on the unitary p=5 [0, 7] window, a central one, where the
 # commutators take their closed form and no quotient is formed (2-core
 # x86-64 host, Python 3.11)
 TRIALS_BUDGET = 10**5
+
+
+def _below(rng: random.Random, n: int):
+    """The integers that successive rng.randrange(n) calls return, for
+    n >= 1, drawn as CPython draws them: n.bit_length() random bits, drawn
+    again while they are n or more, with no call of randrange per draw.
+    Each is drawn only when it is taken, so draws taken in turn from several
+    such streams of one rng are the draws of the calls in that order."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    while True:
+        r = getrandbits(k)
+        if r < n:
+            yield r
 
 
 def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> dict:
@@ -263,13 +276,16 @@ def lemma_checks(wg: WindowGroup, cap=None, trials: int = 50, seed: int = 0) -> 
     # gamma_4, the trivial last term when the series is shorter
     gamma4 = series[min(3, len(series) - 1)]
     witness = None
+    # the draws of rng.randrange(len(derived)) and rng.randrange(p), in turn
+    picks, entries = _below(rng, len(derived)), _below(rng, wg.p)
+    width, mul, comm = wg.width, wg.mul_vec, wg.comm_vec
     for _ in range(trials):
-        y = derived[rng.randrange(len(derived))]
-        y2 = derived[rng.randrange(len(derived))]
-        x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
-        lhs = wg.comm_vec(wg.mul_vec(y, y2), x)
-        base = wg.mul_vec(wg.comm_vec(y, x), wg.comm_vec(y2, x))
-        if lhs != base and wg.pack(wg.mul_vec(wg.inv_vec(base), lhs)) not in gamma4:
+        y = derived[next(picks)]
+        y2 = derived[next(picks)]
+        x = tuple(itertools.islice(entries, width))
+        lhs = comm(mul(y, y2), x)
+        base = mul(comm(y, x), comm(y2, x))
+        if lhs != base and wg.pack(mul(wg.inv_vec(base), lhs)) not in gamma4:
             witness = {"y": list(y), "y2": list(y2), "x": list(x)}
             break
     checks["commutator_bilinearity"] = report_entry(witness, trials=trials)
@@ -519,8 +535,8 @@ def _walk(memo: OverlapMemo, p: int, levels, reads, slots, choice_lists, words, 
     varying fastest, as `itertools.product` does, and yield at every leaf,
     while the rows hold its words.  A node at level idx, which has set the
     slots before idx, goes on only when `_checks_pass` passes its planned
-    checks levels[idx]; those read no slot set at idx or after, only the
-    indices in reads[idx].
+    checks levels[idx], and an empty plan passes with no call; those checks
+    read no slot set at idx or after, only the indices in reads[idx].
 
     A subtree that yields no leaf returns its conflict set, the indices of
     the slots whose letters doomed it; one that yields a leaf returns None.
@@ -533,7 +549,8 @@ def _walk(memo: OverlapMemo, p: int, levels, reads, slots, choice_lists, words, 
     outcome of a check depends only on the words it reads (the memo's own
     invariant): a subtree that died on slots other than idx dies under
     every choice at idx."""
-    if not _checks_pass(memo, p, levels[idx], words):
+    plan = levels[idx]
+    if plan and not _checks_pass(memo, p, plan, words):
         return reads[idx]
     if idx == len(slots):
         yield

@@ -9,12 +9,14 @@ reports the witness.  `axioms`, `lemmas` and `shiftinv` form closures, and
 only they take `--cap`; `class` and `search` find the class from
 commutators alone and form none.  Identical
 invocations produce byte-identical payloads; wall-clock timings, when
-present, live in a separate "timings" field.
+present, live in a separate "timings" field.  The argument parser is built
+once per process, on the first `main` call, and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -132,7 +134,11 @@ def _element_payload(wg: WindowGroup, vec) -> dict:
     }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser and its subcommand parsers by name, built on the
+    first call, not at import, and reused by every later `main` in the
+    process: parsing leaves no state on a parser."""
     parser = argparse.ArgumentParser(
         prog="zsys",
         description="Exact window-scale computations with Z-systems of prime order.",
@@ -172,8 +178,13 @@ def main(argv=None) -> int:
     for name in ("axioms", "lemmas", "shiftinv"):
         sub.choices[name].add_argument("--cap", type=int, default=None, help="closure element cap")
 
+    return parser, sub.choices
+
+
+def main(argv=None) -> int:
+    parser, commands = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_words(argv, sub.choices))
+    args = parser.parse_args(_attach_words(argv, commands))
     pretty = args.output == "pretty"
 
     try:

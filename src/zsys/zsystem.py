@@ -160,11 +160,17 @@ class WindowGroup:
         }
 
     @functools.cached_property
+    def _cross_words(self) -> tuple:
+        """On a central window, the crossing words as flat (c, l, word)
+        triples, the form the closed forms loop over."""
+        return tuple((c, l, word) for (c, l), word in self._cross.items())
+
+    @functools.cached_property
     def _above(self) -> list:
         """On a central window, per position c the (l, crossing word) of every
         pair (c, l) that has a word."""
         above = [[] for _ in range(self.width)]
-        for (c, l), word in self._cross.items():
+        for c, l, word in self._cross_words:
             above[c].append((l, word))
         return above
 
@@ -355,11 +361,11 @@ class WindowGroup:
         p = self.p
         if self._central:
             vec = [-e for e in a]
-            for (c, l), word in self._cross.items():
+            for c, l, word in self._cross_words:
                 if f := a[l] * a[c] % p:
                     for k, ek in word:
                         vec[k] += f * ek
-            return tuple(v % p for v in vec)
+            return tuple([v % p for v in vec])
         vec = [0] * self.width
         self._fold(vec, [(c, r) for c, e in enumerate(a) if (r := -e % p)])
         return tuple(vec)
@@ -392,11 +398,11 @@ class WindowGroup:
             return self.mul_vec(self.inv_vec(ba), ab)
         p = self.p
         vec = [0] * self.width
-        for (c, l), word in self._cross.items():
+        for c, l, word in self._cross_words:
             if f := (a[l] * b[c] - b[l] * a[c]) % p:
                 for k, ek in word:
                     vec[k] += f * ek
-        return tuple(v % p for v in vec)
+        return tuple([v % p for v in vec])
 
     def shift_vec(self, a: tuple, k: int) -> tuple:
         """Translate the support by 2k generator indices; an explicit range

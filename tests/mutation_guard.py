@@ -81,6 +81,17 @@ MUTANTS = (
         ("tests/test_collect_oracle.py::test_closed_form_commutator_and_inverse_match_oracles",),
     ),
     Mutant(
+        # one bit short only at powers of two, and no bit at all at n = 1
+        "lemma trial draws with a bit count of (n - 1).bit_length()",
+        "src/zsys/analysis.py",
+        "getrandbits, k = rng.getrandbits, n.bit_length()",
+        "getrandbits, k = rng.getrandbits, (n - 1).bit_length()",
+        (
+            "tests/test_analysis.py::test_trial_draws_are_the_randrange_stream",
+            "tests/test_analysis.py::test_lemma_trials_draw_the_randrange_stream",
+        ),
+    ),
+    Mutant(
         # at p = 2 and 3 every unit is its own inverse, so only p >= 5 shows it
         "the conjugation scale swapped to c_k / c_l",
         "src/zsys/matgroup.py",

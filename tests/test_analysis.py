@@ -1,6 +1,7 @@
 
 import gc
 import itertools
+import random
 
 import pytest
 from test_closure_oracle import elements
@@ -308,6 +309,48 @@ def test_lemma_checks_deterministic():
     a = lemma_checks(unitary(3, 0, 4), seed=5)
     b = lemma_checks(unitary(3, 0, 4), seed=5)
     assert a == b
+
+
+def test_trial_draws_are_the_randrange_stream():
+    # the trials draw by rejection on getrandbits, as randrange does; no
+    # pinned stream shows the draws (every pinned run passes), so this is
+    # their guard.  n = 1 still spends one bit per draw, and 2, 128 are the
+    # powers of two where a bit count one short would draw differently
+    for n in (1, 2, 3, 5, 7, 125, 128, 257):
+        for seed in range(10):
+            rng, twin = random.Random(seed), random.Random(seed)
+            draws = analysis._below(rng, n)
+            assert [next(draws) for _ in range(300)] == [twin.randrange(n) for _ in range(300)]
+            assert rng.getstate() == twin.getstate(), (n, seed)
+
+
+def test_lemma_trials_draw_the_randrange_stream():
+    # every trial's (y, y2, x), read off the commutators it forms, against
+    # a replay of the randrange calls: y and y2 from the sorted derived
+    # subgroup, then the entries of x.  Unitary p=5 [0, 7]; an abelian
+    # window, whose derived list holds one element, so n = 1; and unitary
+    # p=257 [0, 5], whose entries take 9-bit draws
+    cases = ((unitary(5, 0, 7), 300), (standard(5, 0, 4), 100), (unitary(257, 0, 5), 50))
+    for wg, trials in cases:
+        derived = [tuple(v) for v in sorted(lower_central_series(wg)[1])]
+        rng = random.Random(3)
+        expected = []
+        for _ in range(trials):
+            y = derived[rng.randrange(len(derived))]
+            y2 = derived[rng.randrange(len(derived))]
+            x = tuple(rng.randrange(wg.p) for _ in range(wg.width))
+            expected += [(wg.mul_vec(y, y2), x), (y, x), (y2, x)]
+        calls = []
+        comm = wg.comm_vec
+
+        def recorded(a, b):
+            calls.append((a, b))
+            return comm(a, b)
+
+        wg.comm_vec = recorded
+        assert lemma_checks(wg, trials=trials, seed=3)["pass"]
+        span = len(expected)
+        assert any(calls[i : i + span] == expected for i in range(len(calls) - span + 1)), wg.p
 
 
 # -- shift-invariant closures ------------------------------------------------------
@@ -718,6 +761,22 @@ def test_forever_certificates_agree_with_extendable():
         assert (len(items), len(certified(items))) == counts, args
         assert certified(items) == [item for item in items if item["extendable"]], args
         assert all(item["class"] < 3 for item in certified(items)), args
+    # one widening deep, the two runs of the benchmark's `search` workload:
+    # the certified tables lie inside the extendable ones, and the class-3
+    # tables that survive one widening are none of them.  This walks the
+    # one-level plans, whose first level checks nothing
+    cases = (
+        ((3, 0, 4, 1, 1), (199, 17, 23, 4)),
+        ((2, 0, 5, 1, 1), (115, 11, 19, 0)),
+    )
+    for args, counts in cases:
+        items = list(search_tables(*args))
+        forever = certified(items)
+        extended = [item for item in items if item["extendable"]]
+        class_three = [item for item in extended if item["class"] == 3]
+        assert (len(items), len(forever), len(extended), len(class_three)) == counts, args
+        assert all(item in extended for item in forever), args
+        assert not any(item in forever for item in class_three), args
 
 
 def test_word_choices_match_filter_definition():

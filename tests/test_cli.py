@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 
 from test_collect_oracle import interior_tables
 
-from zsys import zsystem
+from zsys import cli, zsystem
 from zsys.cli import main
 from zsys.matgroup import LaurentMatrix, commutator, make_example
 from zsys.zsystem import overlap_violation
@@ -614,9 +618,55 @@ def test_search_depth_flag_monotone(capsys):
 
 
 def test_pretty_output(capsys):
-    code, out, _ = run_cli(
-        capsys, "--output", "pretty", "class", "--example", "unitary", "--p", "3", "--window", "0", "3"
-    )
+    source = ("class", "--example", "unitary", "--p", "3", "--window", "0", "3")
+    code, out, _ = run_cli(capsys, "--output", "pretty", *source)
     assert code == 0
     assert json.loads(out) == {"class": 2}
     assert "\n" in out.strip()
+    # the reused parser keeps no option from the call before
+    assert run_cli(capsys, *source) == (0, '{"class":2}\n', "")
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once_on_first_use(monkeypatch, capsys):
+    # importing the module builds nothing; the first main builds the parser
+    # and its ten subcommand parsers, and the second reuses them
+    probe = "import zsys.cli as cli; print(cli._parser.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert imported.stdout == "0\n"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        for window in (("0", "3"), ("0", "5")):
+            assert run_cli(capsys, "class", "--example", "unitary", "--p", "3", "--window", *window)[0] == 0
+        assert len(built) == 11 and built[0] == "zsys"
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    # a call that argparse refuses part way, then a valid call: the valid
+    # call prints the bytes it prints alone
+    valid = ("comm", "--example", "unitary", "--p", "3", "--window", "0", "5",
+             "--left", "1:1", "--rig", "3:2")
+    cli._parser.cache_clear()
+    alone = run_cli(capsys, *valid)
+    for refused in (["search"], ["comm", "--example", "unitary", "--left", "1:2", "--p", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(refused)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *valid) == alone
+    assert alone[0] == 0
+

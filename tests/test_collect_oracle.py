@@ -226,7 +226,7 @@ def test_crossing_limit_changes_nothing(data):
         assert results(WindowGroup(wg.p, wg.lo, wg.hi, wg.comm)) == expected
 
 
-COLLECTION_TABLES = {"_interior_ok", "_central", "_cross", "_above"}
+COLLECTION_TABLES = {"_interior_ok", "_central", "_cross", "_cross_words", "_above"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
