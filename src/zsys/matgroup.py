@@ -44,11 +44,22 @@ def _det2(fp: Fp, w: LaurentPoly, x: LaurentPoly, y: LaurentPoly, z: LaurentPoly
     return LaurentPoly._reduced(fp, terms) if terms else zero
 
 
+def _clear(rows: tuple, below: bool) -> bool:
+    """Whether every place of rows strictly below the diagonal, or, if not
+    below, strictly above it, is zero."""
+    if len(rows) == 2:
+        return not (rows[1][0] if below else rows[0][1]).terms
+    if below:
+        return not (rows[1][0].terms or rows[2][0].terms or rows[2][1].terms)
+    return not (rows[0][1].terms or rows[0][2].terms or rows[1][2].terms)
+
+
 def _shaped(fp: Fp, rows: tuple, shape: int) -> "LaurentMatrix":
-    """Wrap the rows of a commutator formed in closed form, a unitriangular
-    matrix of the given shape, with that shape known; a lower one that is
-    the identity is upper, as `LaurentMatrix._unitriangular` has it."""
-    if shape == _LOWER and not any(rows[i][j].terms for i in range(len(rows)) for j in range(i)):
+    """Wrap the rows of a unitriangular matrix of the given shape that this
+    module built (a generator, or a commutator formed in closed form), with
+    that shape known; a lower one that is the identity is upper, as
+    `LaurentMatrix._unitriangular` has it."""
+    if shape == _LOWER and _clear(rows, True):
         shape = _UPPER
     m = LaurentMatrix._trusted(fp, rows)
     m._shape = shape
@@ -60,10 +71,12 @@ class LaurentMatrix:
 
     A matrix is immutable, so it keeps its inverse once computed, its
     shape (upper unitriangular, lower unitriangular or neither) once
-    `_unitriangular` has computed it or `commutator` has formed the matrix
-    with it, and, for a monomial matrix, its `_conjugation` plan once it
-    has conjugated.  An inverse refers back to its matrix only weakly, so
-    the two form no reference cycle."""
+    `_unitriangular` has computed it or the matrix was built with it (a
+    generator, a closed-form commutator, or the transpose of a matrix that
+    knew its shape), and, for a monomial matrix, its `_conjugation` plan
+    once it has conjugated.  `is_identity` reads the shape: the identity is
+    the upper matrix with nothing above the diagonal.  An inverse refers
+    back to its matrix only weakly, so the two form no reference cycle."""
 
     __slots__ = ("fp", "n", "rows", "_hash", "_inv", "_shape", "_conj", "__weakref__")
 
@@ -118,10 +131,10 @@ class LaurentMatrix:
             r = self.rows
             n = self.n
             shape = _NEITHER
-            if all(r[i][i].terms == {0: 1} for i in range(n)):
-                if not any(r[i][j].terms for i in range(n) for j in range(i)):
+            if r[0][0].terms == r[1][1].terms == r[n - 1][n - 1].terms == {0: 1}:
+                if _clear(r, True):
                     shape = _UPPER
-                elif not any(r[j][i].terms for i in range(n) for j in range(i)):
+                elif _clear(r, False):
                     shape = _LOWER
             self._shape = shape
         return shape
@@ -264,14 +277,19 @@ class LaurentMatrix:
         return inverse
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix._trusted(self.fp, tuple(zip(*self.rows)))
+        """The transpose, with the shape this matrix knows carried over:
+        lower becomes upper, and upper becomes lower, except the identity."""
+        m = LaurentMatrix._trusted(self.fp, tuple(zip(*self.rows)))
+        shape = self._shape
+        if shape == _LOWER:
+            shape = _UPPER
+        elif shape == _UPPER and not _clear(self.rows, False):
+            shape = _LOWER
+        m._shape = shape
+        return m
 
     def is_identity(self) -> bool:
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if (e.is_one() if i == j else e.is_zero()) is False:
-                    return False
-        return True
+        return self._unitriangular() == _UPPER and _clear(self.rows, False)
 
     def __eq__(self, other):
         return (
@@ -371,9 +389,9 @@ class StandardExample:
         one, zero = LaurentPoly.one(fp), LaurentPoly.zero(fp)
         if root.eps == 1:
             entry = LaurentPoly.monomial(fp, lam, root.z)
-            return LaurentMatrix._trusted(fp, ((one, entry), (zero, one)))
+            return _shaped(fp, ((one, entry), (zero, one)), _UPPER)
         entry = LaurentPoly.monomial(fp, lam, -root.z)
-        return LaurentMatrix._trusted(fp, ((one, zero), (entry, one)))
+        return _shaped(fp, ((one, zero), (entry, one)), _LOWER)
 
     def h(self, lam: int) -> LaurentMatrix:
         if lam % self.p == 0:
@@ -391,11 +409,11 @@ class StandardExample:
             raise ValueError("nonidentity element on an empty window")
         if m.n != 2 or m._unitriangular() != _UPPER:
             raise ValueError("matrix is not upper unitriangular")
-        f = m.rows[0][1]
-        for z in f.support():
-            if not lo <= z <= hi:
-                raise ValueError(f"entry support t^{z} escapes window [{lo}, {hi}]")
-        return tuple(f.coeff(z) for z in range(lo, hi + 1))
+        f = m.rows[0][1].terms
+        escaping = [z for z in f if not lo <= z <= hi]
+        if escaping:
+            raise ValueError(f"entry support t^{min(escaping)} escapes window [{lo}, {hi}]")
+        return tuple([f.get(z, 0) for z in range(lo, hi + 1)])
 
     def normal_form_negative(self, m: LaurentMatrix, lo: int, hi: int) -> tuple:
         """Same read-off on the negative side: index z sits at entry c*t^-z below."""
@@ -406,11 +424,11 @@ class StandardExample:
         # the identity is lower unitriangular too, though its shape is upper
         if m.n != 2 or (m._unitriangular() != _LOWER and not m.is_identity()):
             raise ValueError("matrix is not lower unitriangular")
-        f = m.rows[1][0]
-        for z in f.support():
-            if not lo <= -z <= hi:
-                raise ValueError(f"entry support t^{z} escapes window [{lo}, {hi}]")
-        return tuple(f.coeff(-z) for z in range(lo, hi + 1))
+        f = m.rows[1][0].terms
+        escaping = [z for z in f if not lo <= -z <= hi]
+        if escaping:
+            raise ValueError(f"entry support t^{min(escaping)} escapes window [{lo}, {hi}]")
+        return tuple([f.get(-z, 0) for z in range(lo, hi + 1)])
 
     def root_of(self, m: LaurentMatrix):
         """Match m against the generator families: (root, lam) or None."""
@@ -467,10 +485,10 @@ class UnitaryExample:
             a23 = LaurentPoly.monomial(fp, lam if z % 2 == 0 else -lam, z)
             a13 = LaurentPoly.monomial(fp, sgn * lam * lam * self._half, 2 * z)
             rows = ((one, a12, a13), (zero, one, a23), (zero, zero, one))
-            return LaurentMatrix._trusted(fp, rows)
+            return _shaped(fp, rows, _UPPER)
         z = (n - 1) // 2
         a13 = LaurentPoly.monomial(fp, lam if z % 2 == 0 else -lam, n)
-        return LaurentMatrix._trusted(fp, ((one, zero, a13), (zero, one, zero), (zero, zero, one)))
+        return _shaped(fp, ((one, zero, a13), (zero, one, zero), (zero, zero, one)), _UPPER)
 
     def root_generator(self, root: Root, lam: int = 1) -> LaurentMatrix:
         check_root(root)
@@ -491,8 +509,8 @@ class UnitaryExample:
         (the (2,3) entry must equal f(-t)); dividing it off leaves a matrix
         supported in the corner, whose coefficient at t^(2z+1) times (-1)^z is
         the exponent of the odd generator 2z + 1.  The even part is divided
-        off by one product per even letter, starting from m itself, so a
-        matrix with no even letter costs no product."""
+        off by one product per even letter as it is read, starting from m
+        itself, so a matrix with no even letter costs no product."""
         if lo > hi:
             if m.is_identity():
                 return ()
@@ -501,32 +519,33 @@ class UnitaryExample:
             raise ValueError("expected a 3x3 matrix")
         if m._unitriangular() != _UPPER:
             raise ValueError("matrix is not upper unitriangular")
-        f = -m.rows[0][1]
-        if m.rows[1][2] != f.subs_neg_t():
+        p = self.p
+        r = m.rows
+        f = r[0][1].terms  # a12 = -f, so f(-t) is a12 negated at even exponents
+        if r[1][2].terms != {z: c if z % 2 else p - c for z, c in f.items()}:
             raise ValueError("inconsistent (1,2) and (2,3) entries")
+        # m is the even part u(n1, e1) u(n2, e2) ... in ascending n times the
+        # odd part, so each even letter comes off on the left as it is read:
+        # e = -c for a12's coefficient c at n / 2, and u(n, c) inverts u(n, e)
         e = [0] * (hi - lo + 1)
-        for z in f.support():
+        rem = m
+        for z in sorted(f):
             n = 2 * z
             if not lo <= n <= hi:
                 raise ValueError(f"even index {n} escapes window [{lo}, {hi}]")
-            e[n - lo] = f.coeff(z)
-        # m is the even part u(n1, e1) u(n2, e2) ... in ascending n times the
-        # odd part, so the even letters come off on the left in ascending n:
-        # u(n, -a) is the inverse of u(n, a)
-        rem = m
-        for n in range(lo, hi + 1):
-            if n % 2 == 0 and e[n - lo]:
-                rem = self.u(n, -e[n - lo]) * rem
+            c = f[z]
+            e[n - lo] = p - c
+            rem = self.u(n, c) * rem
         r = rem.rows
-        if not (r[0][1].is_zero() and r[1][2].is_zero()):
+        if r[0][1].terms or r[1][2].terms:
             raise ValueError("even part does not divide off cleanly")
-        g = r[0][2]
-        for w in g.support():
+        g = r[0][2].terms
+        for w in sorted(g):
             if w % 2 == 0 or not lo <= w <= hi:
                 raise ValueError(f"corner support t^{w} escapes odd window positions")
             z = (w - 1) // 2
-            c = g.coeff(w)
-            e[w - lo] = c if z % 2 == 0 else (self.p - c) % self.p
+            c = g[w]
+            e[w - lo] = c if z % 2 == 0 else p - c
         return tuple(e)
 
     def normal_form_negative(self, m: LaurentMatrix, lo: int, hi: int) -> tuple:

@@ -171,7 +171,8 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int, gen: dict | N
     in closed form since m^-1 is monomial.  The generators and the
     reflection elements come from gen, a table over [-K, K] as _generators
     builds it, which is built here when it is not given; a K below 1, and a
-    table that lacks a generator of the range, raise ValueError."""
+    table that lacks a generator of the range, of any parameter, or a
+    reflection element of index i, raise ValueError."""
     if not isinstance(example, StandardExample):
         raise ValueError("reflection elements are implemented for the standard example only")
     if i not in (0, 1):
@@ -184,9 +185,12 @@ def rgd3_m_map(example: StandardExample, i: int, lam: int, K: int, gen: dict | N
         # the simple roots sit at z = 0 and 1, inside the table for any K
         gen = _generators(example, K)
     else:
-        missing = next((root for root in _range_roots(K) if (root, 1) not in gen), None)
-        if missing is not None:
-            raise ValueError(f"generator table has no root {tuple(missing)} of [-{K}, {K}]")
+        for root, mu in itertools.product(_range_roots(K), range(1, p)):
+            if (root, mu) not in gen:
+                raise ValueError(f"generator table has no root {tuple(root)} with parameter {mu}")
+        for lam2 in range(1, p):
+            if (i, lam2) not in gen:
+                raise ValueError(f"generator table has no reflection element ({i}, {lam2})")
     m = gen[i, lam % p]
     m_inv = m.inv()
 

@@ -6,12 +6,13 @@ named for it must catch the break.
 For each entry of MUTANTS it copies this checkout's `src/`, `tests/` and
 `pyproject.toml` to a temporary directory, replaces the entry's snippet in
 its file with the replacement, and runs the entry's tests there with
-pytest.  The entry holds when the mutant package is the one imported and
-every named test fails.  A snippet that does not occur exactly once fails
-the entry, so the list cannot go stale unseen.  It takes no argument,
-prints one line per entry and one per problem it finds, and exits 1 when
-any entry fails.  Standard library only (the tests it runs need pytest
-and hypothesis).
+pytest, under the Hypothesis profile `mutation` of `tests/conftest.py`,
+which does not shrink a failing example.  The entry holds when the mutant
+package is the one imported and every named test fails.  A snippet that
+does not occur exactly once fails the entry, so the list cannot go stale
+unseen.  It takes no argument, prints one line per entry and one per
+problem it finds, and exits 1 when any entry fails.  Standard library only
+(the tests it runs need pytest and hypothesis).
 """
 
 import os
@@ -104,6 +105,28 @@ MUTANTS = (
             "tests/test_matgroup.py::test_conjugate_matches_products[unitary-7]",
         ),
     ),
+    Mutant(
+        "the Heisenberg corner of two upper factors with its two products swapped",
+        "src/zsys/matgroup.py",
+        "corner = _det2(fp, x[0][1], y[1][2], x[1][2], y[0][1], zero)",
+        "corner = _det2(fp, x[1][2], y[0][1], x[0][1], y[1][2], zero)",
+        (
+            "tests/test_matgroup.py::test_unitriangular_commutator_matches_schoolbook",
+            "tests/test_matgroup.py::test_generator_commutators_match_schoolbook[unitary]",
+        ),
+    ),
+    Mutant(
+        "a transposed upper matrix that is not the identity carried as upper",
+        "src/zsys/matgroup.py",
+        "elif shape == _UPPER and not _clear(self.rows, False):\n            shape = _LOWER",
+        "elif shape == _UPPER and not _clear(self.rows, False):\n            shape = _UPPER",
+        (
+            "tests/test_matgroup.py::test_carried_shapes_match_the_rows[standard-5]",
+            "tests/test_matgroup.py::test_carried_shapes_match_the_rows[unitary-5]",
+            "tests/test_matgroup.py::test_carried_shapes_match_the_rows[unitary-7]",
+            "tests/test_matgroup.py::test_negative_side_normal_form",
+        ),
+    ),
 )
 
 
@@ -139,7 +162,8 @@ def check(mutant: Mutant) -> list:
             imported = where.stdout.strip() or where.stderr.strip()
             return [f"the mutant is not the package imported: {imported}"]
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *mutant.tests],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
+             "--hypothesis-profile", "mutation", *mutant.tests],
             cwd=root, env=env, capture_output=True, text=True,
         )
     failed = {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}

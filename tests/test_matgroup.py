@@ -8,6 +8,9 @@ from test_laurent import from_pairs
 
 from zsys.laurent import Fp, LaurentPoly
 from zsys.matgroup import (
+    _LOWER,
+    _NEITHER,
+    _UPPER,
     LaurentMatrix,
     StandardExample,
     UnitaryExample,
@@ -337,6 +340,13 @@ def test_negative_side_normal_form():
     exu = UnitaryExample(5)
     mu_ = exu.root_generator(Root(1, -1), 2) * exu.root_generator(Root(2, -1), 1)
     assert exu.normal_form_negative(mu_, 1, 2) == (2, 1)
+    # generators formed as transposes, and their commutators on the negative
+    # side: [x_-0(lam), x_-2(mu)] = x_-1(-2 lam mu)
+    a, b = exu.root_generator(Root(0, -1), 1), exu.root_generator(Root(2, -1), 3)
+    assert not a.is_identity() and not b.is_identity()
+    assert exu.normal_form_negative(a, 0, 2) == (1, 0, 0)
+    assert exu.normal_form_negative(commutator(a, b), 1, 1) == (4,)
+    assert exu.normal_form_negative(commutator(b, a), 1, 1) == (1,)
 
 
 # -- pattern matching --------------------------------------------------------
@@ -615,6 +625,80 @@ def test_identity_of_lower_factors_reads_off(tag):
         assert m.is_identity()
         assert ex.normal_form(m, 0, 4) == (0,) * 5
         assert ex.normal_form_negative(m, 0, 4) == (0,) * 5
+
+
+def fresh_shape(m):
+    """The shape computed from m's rows alone, on a new wrapper of them."""
+    return LaurentMatrix._trusted(m.fp, m.rows)._unitriangular()
+
+
+def entrywise_identity(m):
+    """Whether every diagonal entry of m is 1 and every other entry 0."""
+    return all(
+        e.terms == ({0: 1} if i == j else {})
+        for i, row in enumerate(m.rows) for j, e in enumerate(row)
+    )
+
+
+def shape_pool(ex):
+    """Generators of both signs and several parameters, the identity, torus
+    elements, for the standard family the reflection elements and their
+    inverses, same-sign commutators and products of generators (among them
+    products of lower factors that are the identity), and the transposes of
+    all of these."""
+    p, fp = ex.p, ex.fp
+    gens = {
+        eps: [
+            ex.root_generator(Root(z, eps), lam) for z in (-2, 0, 1, 2, 3) for lam in (1, 2, p - 1)
+        ]
+        for eps in (1, -1)
+    }
+    pool = [*gens[1], *gens[-1], LaurentMatrix.identity(fp, ex.dim)]
+    pool += [ex.h(lam) for lam in (1, 2, p - 1)]
+    if ex.tag == "standard":
+        for i, lam in itertools.product((0, 1), (1, 2)):
+            v = ex.root_generator(negate(alpha(i)), (-fp.inv(lam)) % p)
+            m = v * ex.root_generator(alpha(i), lam) * v
+            pool += [m, m.inv()]
+    for side in gens.values():
+        pool += [commutator(g, h) for g, h in itertools.product(side[::2], repeat=2)]
+        pool += [g * h for g, h in zip(side, side[1:])]
+        pool += [g * g.inv() for g in side[::3]]
+    pool += [g * h for g, h in zip(gens[1], gens[-1])]
+    return pool + [m.transpose() for m in pool]
+
+
+@pytest.mark.parametrize("tag, p", list(itertools.product(("standard", "unitary"), (5, 7))))
+def test_carried_shapes_match_the_rows(tag, p):
+    # a shape set without a look at the rows (by a generator, a closed-form
+    # commutator or a transpose) is the one the rows give, and is_identity,
+    # which reads the shape, agrees with the entries
+    ex = make_example(tag, p)
+    pool = shape_pool(ex)
+    commutators = 0
+    for m in pool:
+        if m._shape is not None:
+            assert m._shape == fresh_shape(m)
+        before = m.transpose()
+        m._unitriangular()
+        after = m.transpose()
+        assert after._shape is not None
+        for t in (before, after):
+            if t._shape is not None:
+                assert t._shape == fresh_shape(t)
+        assert m.is_identity() == entrywise_identity(m)
+        assert LaurentMatrix(m.fp, m.rows).is_identity() == entrywise_identity(m)
+    for side in (1, -1):
+        gens = [ex.root_generator(Root(z, side), lam) for z in range(-2, 3) for lam in range(1, p)]
+        for g, h in itertools.product(gens, repeat=2):
+            c = commutator(g, h)
+            assert c._shape is not None and c._shape == fresh_shape(c)
+            assert c.is_identity() == entrywise_identity(c)
+            commutators += 1
+    assert commutators == 2 * (5 * (p - 1)) ** 2
+    # the pool holds every shape, the identity among the upper matrices
+    assert {fresh_shape(m) for m in pool} == {_UPPER, _LOWER, _NEITHER}
+    assert any(entrywise_identity(m) for m in pool)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

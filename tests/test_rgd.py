@@ -100,6 +100,18 @@ def test_rgd3_rejects_unitary_and_bad_args():
     # a generator table narrower than [-K, K] is refused by the root it lacks
     with pytest.raises(ValueError, match=r"no root \(-4, 1\)"):
         rgd3_m_map(ex5, 0, 1, 4, rgd._generators(ex5, 2))
+    # and so is one that lacks any other entry the map reads: a generator of
+    # a parameter other than 1, or a reflection element of its index
+    table = rgd._generators(ex5, 2)
+    del table[Root(-2, 1), 3]
+    with pytest.raises(ValueError, match=r"no root \(-2, 1\) with parameter 3"):
+        rgd3_m_map(ex5, 0, 1, 2, table)
+    table = rgd._generators(ex5, 2)
+    del table[0, 2]
+    with pytest.raises(ValueError, match=r"no reflection element \(0, 2\)"):
+        rgd3_m_map(ex5, 0, 1, 2, table)
+    # a reflection element of the other index is not read
+    assert rgd3_m_map(ex5, 1, 1, 2, table)[1]["pass"]
 
 
 def test_rgd6_torus_scaling():
